@@ -65,7 +65,7 @@ from .matching import (
 from .realization import (
     Realization,
     RngSeed,
-    enumerate_realizations,
+    edge_mask_distribution,
     sample_realization,
 )
 from .sparsifier import (
@@ -92,7 +92,7 @@ __all__ = [
     "Realization",
     "RngSeed",
     "sample_realization",
-    "enumerate_realizations",
+    "edge_mask_distribution",
     "SparsifierParams",
     "Sparsifier",
     "compute_params",

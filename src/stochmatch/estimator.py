@@ -1,11 +1,12 @@
 """Exact and Monte Carlo estimates of expected maximum-matching value.
 
-The exact path enumerates realizations, aggregates probability mass by
-surviving edge set (the matching value depends on nothing else), and
-reduces with one matching solve per distinct edge set.  Sums use
-math.fsum so results are correctly rounded independently of enumeration
-order.  The Monte Carlo path samples realizations and reports a
-Hoeffding confidence halfwidth over the observed value range; with
+The exact path takes the probability of each surviving edge set from
+:func:`~stochmatch.realization.edge_mask_distribution` (the matching
+value depends on nothing else) and reduces with one matching solve per
+distinct edge set.  Sums use math.fsum so results are correctly rounded
+independently of enumeration order.  The Monte Carlo path draws its
+realizations in one batch from ``realization._sample_masks`` and reports
+a Hoeffding confidence halfwidth over the observed value range; with
 p_v = p_e = 1 every sample is identical, so the halfwidth is exactly 0.
 """
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .graph import StochasticGraph
 from .matching import CanonicalMatcher
 from .realization import (
@@ -24,6 +24,7 @@ from .realization import (
     ESTIMATOR_DRAWS,
     RngSeed,
     _sample_masks,
+    edge_mask_distribution,
 )
 
 __all__ = [
@@ -63,14 +64,9 @@ class ExhaustiveOracle:
     """
 
     def __init__(self, g: StochasticGraph, budget_bits: int = ENUMERATION_BUDGET_BITS):
-        if g.n + g.m > budget_bits:
-            raise BudgetExceededError(
-                f"exact estimation over {g.n} vertices + {g.m} edges needs up to "
-                f"2**{g.n + g.m} outcomes, over the budget of 2**{budget_bits}"
-            )
+        self.distribution = edge_mask_distribution(g, budget_bits)
         self.graph = g
         self.matcher = CanonicalMatcher(g)
-        self.distribution = _edge_mask_distribution(g)
 
     def expected_value(self, restrict_to: int | None = None) -> float:
         """E of the maximum-matching value, optionally discarding
@@ -94,40 +90,6 @@ class ExhaustiveOracle:
             for i in self.matcher.for_mask(mask).indices:
                 per_edge[i].append(p)
         return np.array([math.fsum(t) for t in per_edge], dtype=np.float64)
-
-
-def _edge_mask_distribution(g: StochasticGraph) -> dict[int, float]:
-    """Probability of each surviving-edge set, marginalized over vertices.
-
-    Up to 2**n vertex terms contribute to one edge mask, so plain float
-    accumulation per mask loses at most ~2**n ulps, far inside the 1e-12
-    tolerances used downstream.
-    """
-    n, m = g.n, g.m
-    pv_pow = [g.p_v**k for k in range(n + 1)]
-    qv_pow = [(1.0 - g.p_v) ** k for k in range(n + 1)]
-    pe_pow = [g.p_e**k for k in range(m + 1)]
-    qe_pow = [(1.0 - g.p_e) ** k for k in range(m + 1)]
-    evm = g.edge_vertex_masks
-    dist: dict[int, float] = {}
-    for vmask in range(1 << n):
-        base = pv_pow[vmask.bit_count()] * qv_pow[n - vmask.bit_count()]
-        if base == 0.0:
-            continue
-        alive = [i for i in range(m) if (vmask & evm[i]) == evm[i]]
-        k = len(alive)
-        # emasks[s] for subset s of alive, built incrementally from s
-        # with its lowest bit dropped.
-        emasks = [0] * (1 << k)
-        for s in range(1, 1 << k):
-            low = s & -s
-            emasks[s] = emasks[s ^ low] | (1 << alive[low.bit_length() - 1])
-        for s in range(1 << k):
-            c = s.bit_count()
-            prob = base * pe_pow[c] * qe_pow[k - c]
-            em = emasks[s]
-            dist[em] = dist.get(em, 0.0) + prob
-    return dist
 
 
 def expected_matching_exact(
@@ -168,12 +130,10 @@ def expected_matching_mc(
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     gen = rng.generator(ESTIMATOR_DRAWS, 0) if isinstance(rng, RngSeed) else rng
     matcher = CanonicalMatcher(g)
-    values = []
-    for _ in range(samples):
-        _, emask = _sample_masks(g, gen)
-        if restrict_to is not None:
-            emask &= restrict_to
-        values.append(matcher.value_for_mask(emask))
+    _, emasks = _sample_masks(g, gen, samples)
+    if restrict_to is not None:
+        emasks = [emask & restrict_to for emask in emasks]
+    values = [matcher.value_for_mask(emask) for emask in emasks]
     mean = math.fsum(values) / samples
     spread = max(values) - min(values)
     half = spread * math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
@@ -216,10 +176,10 @@ def approximation_ratio(
         raise ValueError("Monte Carlo mode needs an rng")
     gen = rng.generator(ESTIMATOR_DRAWS, 0) if isinstance(rng, RngSeed) else rng
     matcher = CanonicalMatcher(g)
+    _, emasks = _sample_masks(g, gen, samples)
     num_values = []
     den_values = []
-    for _ in range(samples):
-        _, emask = _sample_masks(g, gen)
+    for emask in emasks:
         den_values.append(matcher.value_for_mask(emask))
         num_values.append(matcher.value_for_mask(emask & restrict_to))
     den = math.fsum(den_values) / samples

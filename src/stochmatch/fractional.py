@@ -64,8 +64,8 @@ __all__ = [
 # Margin constant for the weighted heavy/semi-heavy classification.
 DELTA = 0.09
 
-# Odd-set checks enumerate all vertex subsets up to floor(1/eps) and
-# refuse when that exceeds this size.
+# Odd-set checks enumerate all vertex subsets up to min(n, floor(1/eps))
+# and refuse when that exceeds this size.
 MAX_ODD_SET_SIZE = 11
 
 
@@ -92,21 +92,6 @@ class EdgeStats:
     def __post_init__(self) -> None:
         if self.q.shape != (self.graph.m,):
             raise ValueError(f"expected {self.graph.m} probabilities, got {self.q.shape}")
-
-    def _indices_at(self, v: int, within: int | None) -> tuple[int, ...]:
-        idx = self.graph.incident[v]
-        if within is None:
-            return idx
-        return tuple(i for i in idx if within >> i & 1)
-
-    def vertex_q(self, v: int, within: int | None = None) -> float:
-        """Sum of q_e over edges at v, optionally only those in ``within``."""
-        return math.fsum(self.q[i] for i in self._indices_at(v, within))
-
-    def vertex_phi(self, v: int, within: int | None = None) -> float:
-        """Sum of w_e * q_e over edges at v, optionally restricted."""
-        w = self.graph.weight_array
-        return math.fsum(w[i] * self.q[i] for i in self._indices_at(v, within))
 
     def phi(self, within: int | None = None) -> float:
         """Sum of w_e * q_e over an edge set (all edges when None)."""
@@ -165,8 +150,8 @@ def compute_edge_stats(
     gen = rng.generator(ESTIMATOR_DRAWS, 1) if isinstance(rng, RngSeed) else rng
     matcher = CanonicalMatcher(g)
     counts = np.zeros(g.m, dtype=np.int64)
-    for _ in range(samples):
-        _, emask = _sample_masks(g, gen)
+    _, emasks = _sample_masks(g, gen, samples)
+    for emask in emasks:
         for i in matcher.for_mask(emask).indices:
             counts[i] += 1
     return EdgeStats(g, counts / float(samples), "monte-carlo", samples, f)
@@ -202,9 +187,6 @@ class FractionalMatching:
             np.add.at(out, ends[:, 0], self.x)
             np.add.at(out, ends[:, 1], self.x)
         return out
-
-    def vertex_load(self, v: int) -> float:
-        return math.fsum(self.x[i] for i in self.graph.incident[v])
 
     def total_value(self) -> float:
         """Sum of w_e * x_e."""
@@ -273,16 +255,17 @@ def sample_crucial_matching(
     probability exactly q_e, and M_C is a matching because it is a
     subset of one.
     """
-    if realized is None:
-        if rng is None:
-            raise ValueError("either a realization or an rng is required")
+    if realized is not None:
+        edge_mask = realized.edge_mask
+    elif rng is not None:
         gen = rng.generator(CRUCIAL_DRAWS, 0) if isinstance(rng, RngSeed) else rng
-        _, emask = _sample_masks(g, gen)
-        realized = Realization(0, emask)  # vertex mask unused below
+        _, (edge_mask,) = _sample_masks(g, gen)
+    else:
+        raise ValueError("either a realization or an rng is required")
     if matcher is None:
         matcher = CanonicalMatcher(g)
-    base = matcher.for_mask(realized.edge_mask)
-    keep = crucial_mask & s.edge_mask & realized.edge_mask
+    base = matcher.for_mask(edge_mask)
+    keep = crucial_mask & s.edge_mask & edge_mask
     return matching_from_indices(g, (i for i in base.indices if keep >> i & 1))
 
 
@@ -481,27 +464,27 @@ def check_blossom_constraints(
 ) -> list[BlossomViolation]:
     """Exhaustively check sum of x over E(U) <= bound_scale * floor(|U|/2).
 
-    All vertex sets U with 2 <= |U| <= floor(1/epsilon) are scanned
-    (singletons have no internal edges).  ``bound_scale`` tightens the
-    bound, e.g. to eps * floor(|U|/2) for the non-crucial stage's
-    guarantee.  Returns all violations beyond ``tolerance``.
+    All vertex sets U with 2 <= |U| <= min(n, floor(1/epsilon)) are
+    scanned (singletons have no internal edges).  ``bound_scale``
+    tightens the bound, e.g. to eps * floor(|U|/2) for the non-crucial
+    stage's guarantee.  Returns all violations beyond ``tolerance``.
 
     Raises:
-        BudgetExceededError: when floor(1/epsilon) exceeds
+        BudgetExceededError: when min(n, floor(1/epsilon)) exceeds
             ``max_subset_size``; the scan is exponential in it.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    cap = int(math.floor(1.0 / epsilon + 1e-12))
+    g = fm.graph
+    cap = min(int(math.floor(1.0 / epsilon + 1e-12)), g.n)
     if cap > max_subset_size:
         raise BudgetExceededError(
-            f"odd-set checks up to size floor(1/epsilon) = {cap} exceed the "
+            f"odd-set checks up to size min(n, floor(1/epsilon)) = {cap} exceed the "
             f"subset-size budget of {max_subset_size}"
         )
-    g = fm.graph
     support = [(i, g.edges[i].u, g.edges[i].v) for i in np.flatnonzero(fm.x)]
     violations = []
-    for k in range(2, min(cap, g.n) + 1):
+    for k in range(2, cap + 1):
         bound = bound_scale * (k // 2)
         for combo in itertools.combinations(range(g.n), k):
             inside = set(combo)

@@ -179,8 +179,7 @@ def build_sparsifier(
         raise ValueError("matcher is bound to a different graph")
     counts = np.zeros(g.m, dtype=np.int64)
     for r in range(params.rounds):
-        gen = rng.generator(SPARSIFIER_DRAWS, r)
-        _, emask = _sample_masks(g, gen)
+        _, (emask,) = _sample_masks(g, rng.generator(SPARSIFIER_DRAWS, r))
         for i in matcher.for_mask(emask).indices:
             counts[i] += 1
     return Sparsifier(g, params, counts)

@@ -59,10 +59,10 @@ def test_exact_stats_match_oracle():
 def test_vertex_aggregates_and_restriction():
     g = StochasticGraph(3, [(0, 1, 2.0), (0, 2, 4.0)], weighted=True)
     stats = EdgeStats(g, np.array([0.25, 0.125]), "exact")
-    assert stats.vertex_q(0) == 0.375
-    assert stats.vertex_q(0, within=0b10) == 0.125
-    assert stats.vertex_phi(0) == 0.25 * 2.0 + 0.125 * 4.0
-    assert stats.vertex_phi(0, within=0b01) == 0.5
+    assert stats.vertex_q_array()[0] == 0.375
+    assert stats.vertex_q_array(within=0b10)[0] == 0.125
+    assert stats.vertex_phi_array()[0] == 0.25 * 2.0 + 0.125 * 4.0
+    assert stats.vertex_phi_array(within=0b01)[0] == 0.5
     assert stats.phi() == 1.0
     assert stats.phi(within=0b10) == 0.5
     assert stats.vertex_q_array().tolist() == [0.375, 0.25, 0.125]
@@ -536,10 +536,25 @@ def test_blossom_bound_scale_for_non_crucial_guarantee():
 
 
 def test_blossom_refuses_unbounded_subset_sizes():
-    g = StochasticGraph(3, [(0, 1)])
+    g = StochasticGraph(12, [(0, 1)])
     fm = FractionalMatching(g, np.array([0.5]))
     with pytest.raises(BudgetExceededError):
-        check_blossom_constraints(fm, epsilon=0.05)  # floor(1/eps) = 20 > 11
+        check_blossom_constraints(fm, epsilon=0.05)  # min(12, floor(1/eps)) = 12 > 11
+
+
+def test_blossom_size_cap_is_clamped_to_the_vertex_count():
+    # floor(1/0.05) = 20 > 11, but a 4-vertex graph has no set larger than 4.
+    g = StochasticGraph(4, [(0, 1), (1, 2), (2, 3)])
+    fm = FractionalMatching(g, np.array([0.5, 0.5, 0.5]))
+    assert check_blossom_constraints(fm, epsilon=0.05) == []
+
+
+def test_pipeline_runs_on_a_small_path_at_small_epsilon():
+    from stochmatch.experiment import run_fractional_pipeline
+
+    g = StochasticGraph(4, [(0, 1), (1, 2), (2, 3)], p_v=0.9, p_e=0.9)
+    res = run_fractional_pipeline(g, 0.05, RngSeed(0), r_cap=100)
+    assert res.checks["blossom"]
 
 
 def test_blossom_matching_loads_never_violate():
@@ -604,7 +619,7 @@ def test_fractional_matching_container_basics():
     g = StochasticGraph(3, [(0, 1, 2.0), (1, 2, 3.0)], weighted=True)
     fm = FractionalMatching(g, np.array([0.25, 0.5]))
     assert fm.loads().tolist() == [0.25, 0.75, 0.5]
-    assert fm.vertex_load(1) == 0.75
+    assert fm.loads()[1] == 0.75
     assert fm.total_value() == 0.25 * 2.0 + 0.5 * 3.0
     assert fm.support_mask() == 0b11
     c = fm.copy()
