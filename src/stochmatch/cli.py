@@ -232,9 +232,17 @@ def _check_sparsifier(artifact: dict) -> list[str]:
 def _check_edcs(artifact: dict) -> list[str]:
     g = graph_from_json(artifact["graph"])
     params = EdcsParams(**artifact["params"])
+    problems = []
+    want = compute_beta(params.epsilon, g.p_v, g.p_e, params.c_const)
+    if (params.beta, params.beta_minus) != (want.beta, want.beta_minus):
+        problems.append(
+            f"bounds ({params.beta}, {params.beta_minus}) differ from ({want.beta}, "
+            f"{want.beta_minus}) given by epsilon {params.epsilon!r} and c_const {params.c_const!r}"
+        )
     mask = _mask_from_pairs(g, artifact["edges"])
     h = EdcsSubgraph(g, params, mask, artifact.get("fixups", 0))
-    return [f"{side} violation at edge {i} (degree sum {s})" for side, i, s in verify_edcs(g, h)]
+    problems += [f"{side} violation at edge {i} (degree sum {s})" for side, i, s in verify_edcs(g, h)]
+    return problems
 
 
 def _check_oracle(artifact: dict) -> list[str]:

@@ -19,10 +19,23 @@ first non-H edge whose degree sum is below beta_minus, until neither
 rule applies.  With beta > beta_minus this terminates: each fix-up
 raises the potential (beta - 1/2)|H| - (1/2) * sum of squared degrees
 by at least 1/2, and the potential is bounded.
+
+It finds those first violations from two lazy min-heaps of edge indices
+instead of rescanning the edges (a worklist, as in Bernstein & Stein,
+ICALP 2015, and Assadi & Bernstein, SOSA 2019): ``over`` for H edges
+that may have degree sum above beta and ``under`` for the other edges
+that may have degree sum below beta_minus.  Every violating edge is in
+its heap, so the lowest index still violating is the first violation.
+A fix-up at (u, v) moves the degree sum of each other edge at u or v
+by one, so only those edges can start to violate, and each is pushed
+when its sum crosses the bound: to beta_minus - 1 after a removal, to
+beta + 1 after an addition.  Building costs O(m + fix-ups * Delta *
+log m) for maximum degree Delta.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .estimator import Estimate, approximation_ratio
-from .graph import StochasticGraph, indices_from_mask
+from .graph import StochasticGraph, indices_from_mask, mask_from_indices
 from .matching import CanonicalMatcher
 from .realization import ENUMERATION_BUDGET_BITS, RngSeed
 
@@ -110,12 +123,8 @@ class EdcsSubgraph:
     @cached_property
     def degrees(self) -> np.ndarray:
         """Per-vertex degree within the subgraph."""
-        deg = np.zeros(self.graph.n, dtype=np.int64)
-        for i in self.edge_indices:
-            e = self.graph.edges[i]
-            deg[e.u] += 1
-            deg[e.v] += 1
-        return deg
+        ends = self.graph.endpoint_array[list(self.edge_indices)]
+        return np.bincount(ends.ravel(), minlength=self.graph.n).astype(np.int64, copy=False)
 
     @property
     def size(self) -> int:
@@ -133,51 +142,61 @@ def build_edcs(
 ) -> EdcsSubgraph:
     """Build a certified subgraph by local fix-ups from the empty set.
 
-    Scans are in canonical edge order and fix the first violation found,
-    removals before additions, so the result is deterministic.
+    Each fix-up removes the lowest-index H edge whose degree sum is
+    above beta or, if there is none, adds the lowest-index non-H edge
+    whose degree sum is below beta_minus, so the result is
+    deterministic.  The candidates wait in two min-heaps: ``over`` (H
+    edges, empty at the start) and ``under`` (non-H edges, all of them
+    at the start).  Entries whose condition no longer holds are dropped
+    when they reach the top.  After a fix-up at (u, v) only the edges at
+    u or v are looked at, and one is pushed when its degree sum has just
+    crossed its bound.  The changed edge itself cannot: after its
+    removal its sum is at least beta - 1 >= beta_minus, after its
+    addition at most beta.  Cost: O(m + fix-ups * Delta * log m).
 
     Raises:
         RuntimeError: if ``max_fixups`` steps did not reach a fixed
             point (termination is guaranteed, so this signals a bug or
             an absurdly small limit).
     """
-    n, m = g.n, g.m
     beta, beta_minus = params.beta, params.beta_minus
-    in_h = [False] * m
-    deg = [0] * n
-    edges = g.edges
+    eu = [e.u for e in g.edges]
+    ev = [e.v for e in g.edges]
+    incident = g.incident
+    in_h = [False] * g.m
+    deg = [0] * g.n
+    over: list[int] = []
+    under = list(range(g.m))
     fixups = 0
     while True:
-        action = -1
-        for i in range(m):
-            if in_h[i]:
-                e = edges[i]
-                if deg[e.u] + deg[e.v] > beta:
-                    in_h[i] = False
-                    deg[e.u] -= 1
-                    deg[e.v] -= 1
-                    action = i
-                    break
-        if action < 0:
-            for i in range(m):
-                if not in_h[i]:
-                    e = edges[i]
-                    if deg[e.u] + deg[e.v] < beta_minus:
-                        in_h[i] = True
-                        deg[e.u] += 1
-                        deg[e.v] += 1
-                        action = i
-                        break
-        if action < 0:
-            break
+        while over and not (in_h[over[0]] and deg[eu[over[0]]] + deg[ev[over[0]]] > beta):
+            heapq.heappop(over)
+        if over:
+            i = heapq.heappop(over)
+            in_h[i] = False
+            step = -1
+        else:
+            while under and (in_h[under[0]] or deg[eu[under[0]]] + deg[ev[under[0]]] >= beta_minus):
+                heapq.heappop(under)
+            if not under:
+                break
+            i = heapq.heappop(under)
+            in_h[i] = True
+            step = 1
+        u, v = eu[i], ev[i]
+        deg[u] += step
+        deg[v] += step
         fixups += 1
         if fixups > max_fixups:
             raise RuntimeError(f"no fixed point after {max_fixups} fix-up steps")
-    mask = 0
-    for i in range(m):
-        if in_h[i]:
-            mask |= 1 << i
-    return EdcsSubgraph(g, params, mask, fixups)
+        for j in incident[u] + incident[v]:
+            s = deg[eu[j]] + deg[ev[j]]
+            if step < 0:
+                if s == beta_minus - 1 and not in_h[j]:
+                    heapq.heappush(under, j)
+            elif s == beta + 1 and in_h[j]:
+                heapq.heappush(over, j)
+    return EdcsSubgraph(g, params, mask_from_indices(i for i in range(g.m) if in_h[i]), fixups)
 
 
 def verify_edcs(g: StochasticGraph, h: EdcsSubgraph) -> list[tuple[str, int, int]]:
@@ -190,16 +209,15 @@ def verify_edcs(g: StochasticGraph, h: EdcsSubgraph) -> list[tuple[str, int, int
     """
     if h.graph is not g and h.graph != g:
         raise ValueError("subgraph belongs to a different graph")
-    deg = h.degrees
-    out = []
-    for i, e in enumerate(g.edges):
-        s = int(deg[e.u] + deg[e.v])
-        if h.edge_mask >> i & 1:
-            if s > h.params.beta:
-                out.append(("upper", i, s))
-        elif s < h.params.beta_minus:
-            out.append(("lower", i, s))
-    return out
+    deg, ends = h.degrees, g.endpoint_array
+    sums = deg[ends[:, 0]] + deg[ends[:, 1]]
+    in_h = np.zeros(g.m, dtype=bool)
+    in_h[list(h.edge_indices)] = True
+    bad = np.flatnonzero(np.where(in_h, sums > h.params.beta, sums < h.params.beta_minus))
+    return [
+        ("upper" if in_h[i] else "lower", i, s)
+        for i, s in zip(bad.tolist(), sums[bad].tolist())
+    ]
 
 
 def edcs_matching_ratio(

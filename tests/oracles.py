@@ -2,8 +2,8 @@
 
 Everything here works on plain (n, [(u, v, w), ...]) data and pure
 stdlib, deliberately sharing no code with the package: subset
-enumeration over edges for matchings, and full outcome enumeration for
-expectations.  Tests freeze values produced by these oracles (and by
+enumeration over edges for matchings, full outcome enumeration for
+expectations, and full edge rescans for degree-constrained subgraphs.  Tests freeze values produced by these oracles (and by
 hand) and check the package against them.
 """
 
@@ -113,3 +113,72 @@ def random_test_graph(rng: random.Random, max_n=6, max_m=8, weighted=False, dyad
             w = 1.0
         edges.append((u, v, w))
     return n, edges
+
+
+def reference_build_edcs(n, edges, beta, beta_minus, max_fixups=1_000_000):
+    """Degree-constrained subgraph by full rescans, as (edge mask, fix-ups).
+
+    edges: (u, v, ...) tuples in canonical order.  Before every fix-up
+    it scans all edges: it removes the first subgraph edge whose degree
+    sum exceeds beta, else it adds the first other edge whose degree sum
+    is below beta_minus, and it stops when neither exists.  Raises
+    RuntimeError once the fix-ups exceed max_fixups.
+    """
+    m = len(edges)
+    in_h = [False] * m
+    deg = [0] * n
+    fixups = 0
+    while True:
+        action = -1
+        for i in range(m):
+            if in_h[i]:
+                u, v = edges[i][0], edges[i][1]
+                if deg[u] + deg[v] > beta:
+                    in_h[i] = False
+                    deg[u] -= 1
+                    deg[v] -= 1
+                    action = i
+                    break
+        if action < 0:
+            for i in range(m):
+                if not in_h[i]:
+                    u, v = edges[i][0], edges[i][1]
+                    if deg[u] + deg[v] < beta_minus:
+                        in_h[i] = True
+                        deg[u] += 1
+                        deg[v] += 1
+                        action = i
+                        break
+        if action < 0:
+            break
+        fixups += 1
+        if fixups > max_fixups:
+            raise RuntimeError(f"no fixed point after {max_fixups} fix-up steps")
+    mask = 0
+    for i in range(m):
+        if in_h[i]:
+            mask |= 1 << i
+    return mask, fixups
+
+
+def reference_edcs_violations(n, edges, mask, beta, beta_minus):
+    """Per-vertex degrees within the subgraph ``mask`` and its violations.
+
+    Returns (degrees, violations): violations lists ("upper", i, s) for a
+    subgraph edge i with degree sum s > beta and ("lower", i, s) for any
+    other edge with s < beta_minus, in edge order.
+    """
+    deg = [0] * n
+    for i, (u, v, *_) in enumerate(edges):
+        if mask >> i & 1:
+            deg[u] += 1
+            deg[v] += 1
+    out = []
+    for i, (u, v, *_) in enumerate(edges):
+        s = deg[u] + deg[v]
+        if mask >> i & 1:
+            if s > beta:
+                out.append(("upper", i, s))
+        elif s < beta_minus:
+            out.append(("lower", i, s))
+    return deg, out

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from oracles import reference_build_edcs, reference_edcs_violations
 
 from stochmatch.edcs import (
     EdcsParams,
@@ -138,6 +140,56 @@ def test_fixup_cap_raises():
         build_edcs(g, EdcsParams(3, 2, 0.25), max_fixups=1)
 
 
+def equivalence_cases(count: int = 300, seed: int = 2015):
+    """Seeded (graph, params) pairs: n <= 25 at random densities, some
+    vertices isolated, every tenth graph edgeless, edges handed to the
+    constructor shuffled and in either orientation, and bound pairs
+    with every gap from 1 to beta - 1."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(0, 25)
+        isolated = set(rng.sample(range(n), rng.randint(0, n // 3)))
+        density = rng.random()
+        pairs = [
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u in range(n) for v in range(u + 1, n)
+            if u not in isolated and v not in isolated and rng.random() < density
+        ]
+        if k % 10 == 0:
+            pairs = []
+        rng.shuffle(pairs)
+        beta = rng.randint(2, 12)
+        yield StochasticGraph(n, pairs), EdcsParams(beta, rng.randint(1, beta - 1), 0.25)
+
+
+def test_builder_matches_full_rescan_reference():
+    seen = {"edgeless": 0, "isolated": 0, "wide_gap": 0, "removals": 0}
+    for g, params in equivalence_cases():
+        h = build_edcs(g, params)
+        want = reference_build_edcs(g.n, g.edges, params.beta, params.beta_minus)
+        assert (h.edge_mask, h.fixups) == want, (g, params)
+        seen["edgeless"] += g.m == 0
+        seen["isolated"] += g.m > 0 and any(not inc for inc in g.incident)
+        seen["wide_gap"] += g.m > 0 and params.beta - params.beta_minus > 1
+        seen["removals"] += h.fixups > h.size
+    assert min(seen.values()) >= 10, seen
+
+
+def test_fixup_limit_boundary():
+    checked = 0
+    for g, params in equivalence_cases(count=40, seed=2019):
+        f = build_edcs(g, params).fixups
+        if f == 0:
+            continue
+        assert build_edcs(g, params, max_fixups=f).fixups == f
+        with pytest.raises(RuntimeError):
+            build_edcs(g, params, max_fixups=f - 1)
+        with pytest.raises(RuntimeError):
+            reference_build_edcs(g.n, g.edges, params.beta, params.beta_minus, max_fixups=f - 1)
+        checked += 1
+    assert checked >= 20
+
+
 # -------------------------------------------------------------- certification
 
 
@@ -151,6 +203,30 @@ def test_verify_detects_planted_lower_violations():
     g = StochasticGraph(3, [(0, 1), (0, 2), (1, 2)])
     empty = EdcsSubgraph(g, EdcsParams(3, 2, 0.25), 0)
     assert verify_edcs(g, empty) == [("lower", 0, 0), ("lower", 1, 0), ("lower", 2, 0)]
+
+
+def test_verify_and_degrees_match_loop_reference():
+    # arbitrary edge subsets plant violations on both sides
+    rng = random.Random(8)
+    kinds = set()
+    for _ in range(200):
+        g = random_graph(rng, max_n=12, max_m=30)
+        mask = rng.getrandbits(g.m)
+        beta = rng.randint(2, 8)
+        params = EdcsParams(beta, rng.randint(1, beta - 1), 0.25)
+        h = EdcsSubgraph(g, params, mask)
+        deg, want = reference_edcs_violations(g.n, g.edges, mask, params.beta, params.beta_minus)
+        assert h.degrees.dtype == np.int64
+        assert h.degrees.tolist() == deg
+        got = verify_edcs(g, h)
+        assert got == want
+        assert all(type(i) is int and type(s) is int for _, i, s in got)
+        kinds.update(side for side, _, _ in got)
+    assert kinds == {"upper", "lower"}
+    edgeless = StochasticGraph(3, [])
+    h = EdcsSubgraph(edgeless, EdcsParams(3, 2, 0.25), 0)
+    assert h.degrees.tolist() == [0, 0, 0]
+    assert verify_edcs(edgeless, h) == []
 
 
 def test_verify_rejects_foreign_graph():

@@ -318,6 +318,21 @@ def test_cli_edcs_artifact_check(tmp_path):
     assert load_json(art)["kind"] == "edcs"
 
 
+def test_cli_edcs_check_rejects_edited_bounds(tmp_path, capsys):
+    # With beta raised and beta_minus lowered every degree sum passes
+    # the recorded bounds, so only re-deriving them catches the edit.
+    art = tmp_path / "h.json"
+    argv = ["edcs", "--generator", "complete(n=8)", "--epsilon", "0.3", "--output", str(art)]
+    assert main(argv) == 0
+    data = load_json(str(art))
+    data["params"].update(beta=10**6, beta_minus=1)
+    art.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(art)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: bounds (1000000, 1) differ from (1713, 1712)" in out
+
+
 def test_cli_estimate_with_restriction(tmp_path):
     sp = str(tmp_path / "sp.json")
     est = str(tmp_path / "est.json")
