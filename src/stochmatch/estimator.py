@@ -60,11 +60,17 @@ class ExhaustiveOracle:
 
     Construction pays the enumeration cost once; queries for different
     edge-set restrictions then share the aggregated distribution and the
-    matching cache.
+    matching cache.  The distribution is kept in ascending mask order.
+    Both subproblems of a mask's matching solve are smaller submasks,
+    and the distribution holds every edge subset (the outcome with all
+    vertices alive reaches each one), so in this order each new solve
+    finds both in the matcher's cache; a restricted query's submasks are
+    earlier outcomes too.  The sums are taken with math.fsum, so the
+    order does not change them.
     """
 
     def __init__(self, g: StochasticGraph, budget_bits: int = ENUMERATION_BUDGET_BITS):
-        self.distribution = edge_mask_distribution(g, budget_bits)
+        self.distribution = dict(sorted(edge_mask_distribution(g, budget_bits).items()))
         self.graph = g
         self.matcher = CanonicalMatcher(g)
 

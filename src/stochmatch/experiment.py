@@ -17,6 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .edcs import build_edcs, compute_beta, verify_edcs
 from .estimator import approximation_ratio
 from .fractional import (
@@ -74,10 +76,16 @@ class PipelineResult:
 
     checks maps invariant names to pass/fail:
         support: x lives on realized sparsifier edges only.
-        vertex_cap: after the non-crucial stage, x_v <= max{q_v, eps}/p_v.
+        vertex_cap: after the non-crucial stage, x_v <= max{q_v, eps}/p_v
+            with q_v summed over the non-crucial edges, the bound that
+            stage guarantees.
         vertex_budget: after the crucial stage, x_v <= 1.
         blossom: no odd-set violation up to size floor(1/eps).
         integral: rounding reached (1 - eps) of the fractional value.
+
+    margins maps invariant names to how close they came to failing:
+        vertex_cap: the largest x_v minus its cap over all vertices
+            (at most 0 when the bound holds; -inf without vertices).
     """
 
     graph: StochasticGraph
@@ -93,6 +101,7 @@ class PipelineResult:
     classification: CrucialClassification | None
     integral: Matching | None
     checks: dict[str, bool]
+    margins: dict[str, float]
 
     @property
     def checks_passed(self) -> bool:
@@ -139,10 +148,9 @@ def run_fractional_pipeline(
     checks: dict[str, bool] = {}
     view = realized.edge_mask & sp.edge_mask
     checks["support"] = not (x.support_mask() & ~view)
-    q_v = stats.vertex_q_array()
-    caps = [max(q_v[v], eps) / g.p_v + 1e-9 for v in range(g.n)]
-    nc_loads = x_nc.loads()
-    checks["vertex_cap"] = all(nc_loads[v] <= caps[v] for v in range(g.n))
+    caps = np.maximum(stats.vertex_q_array(within=non_crucial_mask), eps) / g.p_v
+    margins = {"vertex_cap": float(np.max(x_nc.loads() - caps, initial=-np.inf))}
+    checks["vertex_cap"] = margins["vertex_cap"] <= 1e-9
     checks["vertex_budget"] = bool((x.loads() <= 1.0 + 1e-9).all())
     checks["blossom"] = not check_blossom_constraints(x, eps)
     integral = None
@@ -153,7 +161,7 @@ def run_fractional_pipeline(
         checks["integral"] = False
     return PipelineResult(
         g, params, sp, stats, crucial_mask, non_crucial_mask, realized,
-        x_nc, m_c, x, classification, integral, checks,
+        x_nc, m_c, x, classification, integral, checks, margins,
     )
 
 

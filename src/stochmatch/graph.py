@@ -15,6 +15,7 @@ integer bitmasks over those indices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,9 +131,9 @@ class StochasticGraph:
     @cached_property
     def endpoint_array(self) -> np.ndarray:
         """``(m, 2)`` int array of edge endpoints in canonical order."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.array([(e.u, e.v) for e in self.edges], dtype=np.int64)
+        m = self.m
+        ends = itertools.chain.from_iterable(e[:2] for e in self.edges)
+        return np.fromiter(ends, np.int64, 2 * m).reshape(m, 2)
 
     @cached_property
     def weight_array(self) -> np.ndarray:

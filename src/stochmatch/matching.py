@@ -11,13 +11,21 @@ internals.  That determinism is relied on throughout the package, so the
 solver here is written by hand instead of delegating to a generic
 matching library.
 
-The solver is an exact memoized search over the edge list in canonical
-order: edge ``i`` is either skipped or, when both endpoints are free,
-taken.  States are keyed by ``(i, used_vertices & vertices_seen_from_i)``
-so structurally identical suffixes share work.  This is exponential in
-the worst case and intended for the desk-scale instances this package
-targets (up to a few dozen edges); it is not a polynomial blossom
-implementation.
+The solver works on edge sets given as bitmasks over the edge order.
+With i the lowest edge of a set S, the optimum of S is the better of
+two children: skip i, solving S - {i}, or take it, adding w_i to the
+optimum of S minus i and every edge that shares an endpoint with i.
+At equal value i is taken unless the skip solution is empty, which is
+the prefix-first rule above.  Values are summed right to left along the
+chosen edges, as a recursive search over the edge list would sum them.
+The children are smaller masks, so the recurrence runs bottom-up from
+an explicit stack and needs no recursion, however many edges there are.
+Each call keeps its subproblems for itself; :class:`CanonicalMatcher`
+keeps only the answers to queried masks and reuses them as subproblems.
+This is exponential in the worst case and intended for the desk-scale
+instances this package targets (a few dozen edges per realized set,
+far more when the edges are sparse, as on a long path); it is not a
+polynomial blossom implementation.
 
 Unweighted graphs carry weight 1.0 on every edge, so maximum weight
 coincides with maximum cardinality and needs no separate code path.
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graph import Edge, StochasticGraph, indices_from_mask
+from .graph import Edge, StochasticGraph
 
 __all__ = [
     "Matching",
@@ -78,51 +86,96 @@ class Matching:
         return index in self.indices
 
 
-def _solve(triples: Sequence[tuple[int, int, float]]) -> tuple[int, ...]:
-    """Return positions (into ``triples``) of the canonical optimum.
+def _conflict_masks(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Per edge, the bitmask of the edge itself and every edge sharing an
+    endpoint with it: the edges that taking it rules out."""
+    at: dict[int, int] = {}
+    for i, (u, v) in enumerate(pairs):
+        bit = 1 << i
+        at[u] = at.get(u, 0) | bit
+        at[v] = at.get(v, 0) | bit
+    return [at[u] | at[v] for u, v in pairs]
 
-    The tie-break falls out of Python tuple ordering: at equal weight the
-    candidate that takes edge ``i`` starts with ``i`` while the skipping
-    candidate starts with a larger index (or is empty and thus a smaller
-    prefix), so a plain ``<`` comparison implements the canonical rule.
+
+def _right_sum(weight: Sequence[float], indices: Sequence[int]) -> float:
+    """The solver's value of a solution: its weights added right to left."""
+    total = 0.0
+    for j in reversed(indices):
+        total = weight[j] + total
+    return total
+
+
+def _optimum(
+    mask: int,
+    conflict: Sequence[int],
+    weight: Sequence[float],
+    known: dict[int, Matching],
+) -> tuple[int, ...]:
+    """Sorted indices of the canonical optimum over the edges in ``mask``.
+
+    Subproblems are edge sets.  With i the lowest edge of a set S,
+    best(S) is the better of skipping i, best(S - {i}), and taking it,
+    w_i + best(S - conflict[i]); at equal value i is taken unless the
+    skip solution is empty, which is the prefix-first rule.  Both
+    children are numerically smaller masks, so a stack of pending
+    subproblems replaces recursion.
+
+    Subproblems solved in this call live in ``records`` and are dropped
+    on return.  One found in ``known`` (solved masks with their
+    Matching) is not expanded: its value is its weights re-added right
+    to left.  The final walk down the chosen branches stops at the first
+    known mask and appends its indices.
     """
-    m = len(triples)
-    # Vertices still referenced at position >= i; masking the used set with
-    # this makes states collide across irrelevant prefixes.
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        u, v, _ = triples[i]
-        suffix[i] = suffix[i + 1] | (1 << u) | (1 << v)
+    # mask -> (value, took the lowest edge, solution non-empty)
+    records: dict[int, tuple[float, bool, bool]] = {0: (0.0, False, False)}
 
-    memo: dict[tuple[int, int], tuple[float, tuple[int, ...]]] = {}
+    def cached(sub: int) -> tuple[float, bool, bool] | None:
+        # The walk stops at a known mask, so "took" is never read here.
+        hit = known.get(sub)
+        if hit is None:
+            return None
+        return _right_sum(weight, hit.indices), False, bool(hit.indices)
 
-    def best(i: int, used: int) -> tuple[float, tuple[int, ...]]:
-        if i == m:
-            return 0.0, ()
-        key = (i, used & suffix[i])
-        hit = memo.get(key)
+    stack = [mask] if mask else []
+    while stack:
+        sub = stack[-1]
+        low = sub & -sub
+        i = low.bit_length() - 1
+        skip_mask = sub ^ low
+        skip = records.get(skip_mask) or cached(skip_mask)
+        if skip is None:
+            stack.append(skip_mask)
+            continue
+        take_mask = sub & ~conflict[i]
+        take = records.get(take_mask) or cached(take_mask)
+        if take is None:
+            stack.append(take_mask)
+            continue
+        stack.pop()
+        value = weight[i] + take[0]
+        if value > skip[0] or (value == skip[0] and skip[2]):
+            records[sub] = (value, True, True)
+        else:
+            records[sub] = (skip[0], False, skip[2])
+
+    indices: list[int] = []
+    sub = mask
+    while sub:
+        hit = known.get(sub)
         if hit is not None:
-            return hit
-        res = best(i + 1, used)
-        u, v, w = triples[i]
-        bit_u = 1 << u
-        bit_v = 1 << v
-        if not used & (bit_u | bit_v):
-            w_take, seq_take = best(i + 1, used | bit_u | bit_v)
-            cand = (w + w_take, (i,) + seq_take)
-            if cand[0] > res[0] or (cand[0] == res[0] and cand[1] < res[1]):
-                res = cand
-        memo[key] = res
-        return res
-
-    return best(0, 0)[1]
-
-
-def _as_triples(g: StochasticGraph | Iterable[tuple[int, int, float]]):
-    if isinstance(g, StochasticGraph):
-        return g.triples(), g.edges
-    triples = [(int(u), int(v), float(w)) for u, v, w in g]
-    return triples, tuple(Edge(u, v, w) if u < v else Edge(v, u, w) for u, v, w in triples)
+            indices.extend(hit.indices)
+            break
+        _, took, nonempty = records[sub]
+        if not nonempty:
+            break
+        low = sub & -sub
+        if took:
+            i = low.bit_length() - 1
+            indices.append(i)
+            sub &= ~conflict[i]
+        else:
+            sub ^= low
+    return tuple(indices)
 
 
 def max_weight_matching(g: StochasticGraph | Iterable[tuple[int, int, float]]) -> Matching:
@@ -136,14 +189,14 @@ def max_weight_matching(g: StochasticGraph | Iterable[tuple[int, int, float]]) -
     Returns:
         The canonical optimum as a :class:`Matching`.
     """
-    triples, edges = _as_triples(g)
-    positions = _solve(triples)
+    if isinstance(g, StochasticGraph):
+        return CanonicalMatcher(g).for_mask(None)
+    triples = [(int(u), int(v), float(w)) for u, v, w in g]
+    edges = tuple(Edge(u, v, w) if u < v else Edge(v, u, w) for u, v, w in triples)
+    conflict = _conflict_masks([(u, v) for u, v, _ in triples])
+    positions = _optimum((1 << len(triples)) - 1, conflict, [w for _, _, w in triples], {})
     chosen = tuple(edges[i] for i in positions)
-    return Matching(
-        indices=tuple(positions),
-        edges=chosen,
-        total_weight=math.fsum(e.weight for e in chosen),
-    )
+    return Matching(positions, chosen, math.fsum(e.weight for e in chosen))
 
 
 def max_matching_value(g: StochasticGraph | Iterable[tuple[int, int, float]]) -> float:
@@ -168,14 +221,21 @@ class CanonicalMatcher:
     """Canonical matchings of edge-subset subgraphs of one graph, cached.
 
     The maximum matching of a realization depends only on which edges
-    survived, so results are memoized per edge bitmask.  Sharing one
-    matcher across sparsifier rounds, enumeration and Monte Carlo loops
-    collapses their cost to one solve per distinct surviving edge set.
+    survived, so results are kept per queried edge bitmask: one Matching
+    per distinct mask passed to :meth:`for_mask` and nothing else, so
+    ``cache_size()`` counts distinct queries and memory grows with them,
+    not with the subproblems solved.  A query keeps its subproblems for
+    that call only and stops at any submask already in the cache, whose
+    solver record (value, non-empty) is re-derived from the Matching.
+    A caller that queries masks in ascending order therefore finds both
+    children of every new mask cached.
     """
 
     def __init__(self, g: StochasticGraph):
         self.graph = g
         self._cache: dict[int, Matching] = {}
+        self._conflict = _conflict_masks([(e.u, e.v) for e in g.edges])
+        self._weight = [e.weight for e in g.edges]
 
     def for_mask(self, edge_mask: int | None = None) -> Matching:
         """Canonical maximum-weight matching of the subgraph with exactly
@@ -186,12 +246,9 @@ class CanonicalMatcher:
         hit = self._cache.get(mask)
         if hit is not None:
             return hit
-        alive = indices_from_mask(mask)
-        triples = [(g.edges[i].u, g.edges[i].v, g.edges[i].weight) for i in alive]
-        positions = _solve(triples)
-        chosen_idx = tuple(alive[p] for p in positions)
-        chosen = tuple(g.edges[i] for i in chosen_idx)
-        result = Matching(chosen_idx, chosen, math.fsum(e.weight for e in chosen))
+        indices = _optimum(mask, self._conflict, self._weight, self._cache)
+        chosen = tuple(g.edges[i] for i in indices)
+        result = Matching(indices, chosen, math.fsum(e.weight for e in chosen))
         self._cache[mask] = result
         return result
 

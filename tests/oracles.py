@@ -3,8 +3,10 @@
 Everything here works on plain (n, [(u, v, w), ...]) data and pure
 stdlib, deliberately sharing no code with the package: subset
 enumeration over edges for matchings, full outcome enumeration for
-expectations, and full edge rescans for degree-constrained subgraphs.  Tests freeze values produced by these oracles (and by
-hand) and check the package against them.
+expectations, full edge rescans for degree-constrained subgraphs, and a
+memoized search over (edge position, used vertices) for canonical
+matchings.  Tests freeze values produced by these oracles (and by hand)
+and check the package against them.
 """
 
 from __future__ import annotations
@@ -182,3 +184,45 @@ def reference_edcs_violations(n, edges, mask, beta, beta_minus):
         elif s < beta_minus:
             out.append(("lower", i, s))
     return deg, out
+
+
+def reference_canonical_matching(triples):
+    """Positions (into ``triples``) of the canonical optimum, by the
+    memoized search over (edge position, used vertices).
+
+    triples: (u, v, w) in the order that defines the tie-break.  Edge i
+    is skipped or, when both endpoints are free, taken; at equal weight
+    Python tuple ordering prefers the candidate that takes i unless the
+    skipping one is empty.  Recursive: the depth grows with the edge
+    count, so keep inputs to a few hundred edges.
+    """
+    m = len(triples)
+    # Vertices still referenced at position >= i; masking the used set with
+    # this makes states collide across irrelevant prefixes.
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        u, v, _ = triples[i]
+        suffix[i] = suffix[i + 1] | (1 << u) | (1 << v)
+
+    memo = {}
+
+    def best(i, used):
+        if i == m:
+            return 0.0, ()
+        key = (i, used & suffix[i])
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        res = best(i + 1, used)
+        u, v, w = triples[i]
+        bit_u = 1 << u
+        bit_v = 1 << v
+        if not used & (bit_u | bit_v):
+            w_take, seq_take = best(i + 1, used | bit_u | bit_v)
+            cand = (w + w_take, (i,) + seq_take)
+            if cand[0] > res[0] or (cand[0] == res[0] and cand[1] < res[1]):
+                res = cand
+        memo[key] = res
+        return res
+
+    return best(0, 0)[1]

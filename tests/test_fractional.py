@@ -557,6 +557,48 @@ def test_pipeline_runs_on_a_small_path_at_small_epsilon():
     assert res.checks["blossom"]
 
 
+def test_pipeline_vertex_cap_check_uses_non_crucial_q(monkeypatch):
+    # The non-crucial stage caps x_v at max{q_v, eps}/p_v with q_v summed
+    # over the non-crucial edges only.  A load above that cap but below
+    # the looser one with q_v over all edges must fail the check.
+    from stochmatch import experiment
+
+    g = StochasticGraph(4, [(0, 1), (1, 2), (2, 3)], p_v=0.9, p_e=0.9)
+    eps = 0.2
+    params = manual_params(eps, 100, tau=0.5)
+    real = experiment.non_crucial_procedure
+    injected = {}
+
+    def inflated(s, stats, non_crucial_mask, realized):
+        fm = real(s, stats, non_crucial_mask, realized)
+        tight = np.maximum(stats.vertex_q_array(within=non_crucial_mask), eps) / g.p_v
+        loose = np.maximum(stats.vertex_q_array(), eps) / g.p_v
+        fm.x[1] += (tight[1] + loose[1]) / 2 - fm.loads()[1]  # edge 1 is (1, 2)
+        loads = fm.loads()
+        assert (loads <= loose).all() and loads[1] > tight[1]
+        injected["margin"] = float(np.max(loads - tight))
+        return fm
+
+    monkeypatch.setattr(experiment, "non_crucial_procedure", inflated)
+    res = experiment.run_fractional_pipeline(g, eps, RngSeed(0), params=params)
+    assert res.non_crucial_mask == 0b010  # q = (0.729, 0.139, 0.617), tau = 0.5
+    assert not res.checks["vertex_cap"]
+    assert res.margins["vertex_cap"] == injected["margin"] > 0.3
+
+
+def test_pipeline_vertex_cap_margin_is_at_most_zero_on_random_instances():
+    from stochmatch.experiment import run_fractional_pipeline
+
+    rng = random.Random(17)
+    for trial in range(12):
+        n, edges = random_test_graph(rng, max_n=6, max_m=8, weighted=trial % 2 == 1)
+        g = StochasticGraph(n, edges, p_v=rng.choice([0.5, 0.8, 1.0]),
+                            p_e=rng.choice([0.6, 0.9]), weighted=trial % 2 == 1)
+        params = manual_params(0.25, 80, rng.choice([0.05, 0.2, 0.5]))
+        res = run_fractional_pipeline(g, 0.25, RngSeed(trial), params=params)
+        assert res.checks["vertex_cap"] and res.margins["vertex_cap"] <= 1e-12
+
+
 def test_blossom_matching_loads_never_violate():
     g = StochasticGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     x = np.zeros(5)

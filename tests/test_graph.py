@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from stochmatch.graph import (
@@ -87,6 +89,20 @@ def test_masks_and_arrays():
     assert g.all_edges_mask == 0b11
     assert g.edge_vertex_masks == (0b0011, 0b1100)
     assert g.endpoint_array.tolist() == [[0, 1], [2, 3]]
+
+
+def test_endpoint_array_matches_list_of_tuples_form():
+    rng = random.Random(11)
+    graphs = [StochasticGraph(0, []), StochasticGraph(5, [])]
+    for _ in range(20):
+        n = rng.randint(2, 30)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        graphs.append(StochasticGraph(n, pairs))
+    for g in graphs:
+        got = g.endpoint_array
+        assert got.dtype == np.int64 and got.shape == (g.m, 2)
+        if g.m:
+            assert np.array_equal(got, np.array([(e.u, e.v) for e in g.edges], dtype=np.int64))
 
 
 def test_with_probabilities_keeps_structure():

@@ -18,7 +18,7 @@ from stochmatch.matching import (
     max_weight_matching,
 )
 
-from oracles import brute_force_max_weight, random_test_graph
+from oracles import brute_force_max_weight, random_test_graph, reference_canonical_matching
 
 
 def small_graph_strategy(weighted: bool):
@@ -146,3 +146,97 @@ def test_total_weight_is_fsum_of_members():
 def test_max_matching_value_shortcut():
     assert max_matching_value([(0, 1, 2.0), (1, 2, 3.0)]) == 3.0
     assert max_matching_value([]) == 0.0
+
+
+# ------------------------------------------- mask solver vs memoized search
+
+
+def mask_solver_cases(count: int = 300, seed: int = 2022):
+    """Seeded weighted graphs: n <= 12, edges kept at random densities
+    (at most 16), some vertices isolated, every tenth graph edgeless,
+    and weights drawn per graph from {1}, {0, 1, 2} (ties and zeros),
+    multiples of 1/4 with zeros, or uniform floats."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(0, 12)
+        isolated = set(rng.sample(range(n), rng.randint(0, n // 3)))
+        density = rng.random()
+        pairs = [
+            (u, v)
+            for u in range(n) for v in range(u + 1, n)
+            if u not in isolated and v not in isolated and rng.random() < density
+        ]
+        rng.shuffle(pairs)
+        pairs = [] if k % 10 == 0 else pairs[:16]
+        kind = k % 4
+        if kind == 0:
+            draw = lambda: 1.0
+        elif kind == 1:
+            draw = lambda: float(rng.randint(0, 2))
+        elif kind == 2:
+            draw = lambda: rng.randint(0, 8) / 4.0
+        else:
+            draw = lambda: rng.uniform(0.1, 10.0)
+        yield StochasticGraph(n, [(u, v, draw()) for u, v in pairs], weighted=True)
+
+
+def _query_masks(rng: random.Random, m: int) -> list[int]:
+    """Every edge subset for small m; otherwise random masks, each with a
+    chain of random submasks, so later queries contain earlier ones."""
+    if m <= 7:
+        return list(range(1 << m))
+    masks = {0}
+    while len(masks) < 60:
+        mask = rng.getrandbits(m)
+        while mask:
+            masks.add(mask)
+            mask &= rng.getrandbits(m)
+    return sorted(masks)
+
+
+def _reference_for_mask(g: StochasticGraph, mask: int) -> tuple[tuple[int, ...], str]:
+    alive = [i for i in range(g.m) if mask >> i & 1]
+    positions = reference_canonical_matching([tuple(g.edges[i]) for i in alive])
+    chosen = [alive[p] for p in positions]
+    return tuple(chosen), math.fsum(g.edges[i].weight for i in chosen).hex()
+
+
+def test_mask_solver_matches_memoized_search_reference():
+    rng = random.Random(5)
+    seen = {"edgeless": 0, "isolated": 0, "ties": 0, "zero_weights": 0, "many_edges": 0}
+    for g in mask_solver_cases():
+        masks = _query_masks(rng, g.m)
+        want = {mask: _reference_for_mask(g, mask) for mask in masks}
+        shuffled = masks[:]
+        rng.shuffle(shuffled)
+        for order in (masks, masks[::-1], shuffled):
+            matcher = CanonicalMatcher(g)
+            for mask in order:
+                got = matcher.for_mask(mask)
+                assert (got.indices, got.total_weight.hex()) == want[mask], (g, mask)
+            assert matcher.cache_size() == len(masks)
+
+        triples = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in g.edges]
+        rng.shuffle(triples)
+        got = max_weight_matching(triples)
+        positions = reference_canonical_matching(triples)
+        assert got.indices == positions
+        assert got.total_weight.hex() == math.fsum(triples[p][2] for p in positions).hex()
+
+        weights = [e.weight for e in g.edges]
+        seen["edgeless"] += g.m == 0
+        seen["isolated"] += g.m > 0 and any(not inc for inc in g.incident)
+        seen["ties"] += len(set(weights)) < len(weights)
+        seen["zero_weights"] += 0.0 in weights
+        seen["many_edges"] += g.m > 7
+    assert min(seen.values()) >= 10, seen
+
+
+def test_long_path_solves_without_recursion_error():
+    # A search that recurses once per edge overflows the interpreter stack
+    # long before 2000 edges.
+    g = StochasticGraph(2001, [(i, i + 1) for i in range(2000)])
+    got = CanonicalMatcher(g).for_mask(None)
+    assert got.size == 1000 and got.indices == tuple(range(0, 2000, 2))
+    assert got.total_weight == 1000.0
+    assert max_weight_matching([(i, i + 1, 1.0) for i in range(2000)]).indices == got.indices
