@@ -25,6 +25,7 @@ from .edcs import EdcsParams, EdcsSubgraph, build_edcs, compute_beta, verify_edc
 from .errors import BudgetExceededError, GraphFormatError
 from .estimator import (
     ExhaustiveOracle,
+    _resolve_mode,
     approximation_ratio,
     expected_matching_exact,
     expected_matching_mc,
@@ -137,9 +138,7 @@ def _cmd_edcs(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    mode = args.mode
-    if mode == "auto":
-        mode = "exact" if g.n + g.m <= args.budget_bits else "mc"
+    mode = _resolve_mode(g, args.mode, args.budget_bits)
     restrict = None
     if args.restrict:
         artifact = load_json(args.restrict)

@@ -1,19 +1,23 @@
-"""Exact and Monte Carlo estimates of expected maximum-matching value.
+"""Exact and Monte Carlo estimates over one list of realization outcomes.
 
-The exact path takes the probability of each surviving edge set from
+Both modes yield (surviving edge mask, weight) outcomes and a divisor.
+Exact takes each edge set's probability from
 :func:`~stochmatch.realization.edge_mask_distribution` (the matching
-value depends on nothing else) and reduces with one matching solve per
-distinct edge set.  Sums use math.fsum so results are correctly rounded
-independently of enumeration order.  The Monte Carlo path draws its
-realizations in one batch from ``realization._sample_masks`` and reports
-a Hoeffding confidence halfwidth over the observed value range; with
-p_v = p_e = 1 every sample is identical, so the halfwidth is exactly 0.
+depends on nothing else) in ascending mask order, divisor 1.0; Monte
+Carlo takes one ``realization._sample_masks`` batch, weight 1.0 each,
+divisor the sample count.  One reducer sums weight * matching value, the
+other sums per edge the weights of the outcomes whose matching holds it;
+both divide a math.fsum, so the outcome order changes nothing.  Monte
+Carlo intervals are Hoeffding over the observed value range, exactly 0
+when p_v = p_e = 1.  ``_resolve_mode`` maps "auto" to a mode, and
+``_outcomes`` checks Monte Carlo inputs before anything is drawn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
@@ -35,6 +39,9 @@ __all__ = [
     "approximation_ratio",
 ]
 
+# (surviving edge mask, weight) pairs; iterated more than once.
+_Outcomes = Collection[tuple[int, float]]
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -55,6 +62,29 @@ class Estimate:
     confidence: float = 1.0
 
 
+def _mean_value(
+    matcher: CanonicalMatcher, outcomes: _Outcomes, divisor: float, restrict_to: int | None = None
+) -> tuple[float, list[float]]:
+    """(sum of weight * matching value / divisor, the values), matching
+    each outcome's edges within ``restrict_to`` (all when None)."""
+    keep = -1 if restrict_to is None else restrict_to
+    values = [matcher.value_for_mask(mask & keep) for mask, _ in outcomes]
+    return math.fsum(w * v for (_, w), v in zip(outcomes, values)) / divisor, values
+
+
+def _edge_means(
+    matcher: CanonicalMatcher, outcomes: _Outcomes, divisor: float, restrict_to: int | None = None
+) -> np.ndarray:
+    """Per edge, the weights of the outcomes whose matching holds it,
+    summed and divided by ``divisor``."""
+    keep = -1 if restrict_to is None else restrict_to
+    per_edge: list[list[float]] = [[] for _ in range(matcher.graph.m)]
+    for mask, w in outcomes:
+        for i in matcher.for_mask(mask & keep).indices:
+            per_edge[i].append(w)
+    return np.array([math.fsum(t) / divisor for t in per_edge], dtype=np.float64)
+
+
 class ExhaustiveOracle:
     """Exact expectations for one graph via outcome enumeration.
 
@@ -65,8 +95,7 @@ class ExhaustiveOracle:
     and the distribution holds every edge subset (the outcome with all
     vertices alive reaches each one), so in this order each new solve
     finds both in the matcher's cache; a restricted query's submasks are
-    earlier outcomes too.  The sums are taken with math.fsum, so the
-    order does not change them.
+    earlier outcomes too.
     """
 
     def __init__(self, g: StochasticGraph, budget_bits: int = ENUMERATION_BUDGET_BITS):
@@ -77,25 +106,45 @@ class ExhaustiveOracle:
     def expected_value(self, restrict_to: int | None = None) -> float:
         """E of the maximum-matching value, optionally discarding
         surviving edges outside ``restrict_to`` before matching."""
-        matcher = self.matcher
-        if restrict_to is None:
-            terms = [p * matcher.value_for_mask(mask) for mask, p in self.distribution.items()]
-        else:
-            terms = [
-                p * matcher.value_for_mask(mask & restrict_to)
-                for mask, p in self.distribution.items()
-            ]
-        return math.fsum(terms)
+        return _mean_value(self.matcher, self.distribution.items(), 1.0, restrict_to)[0]
 
     def edge_probabilities(self, restrict_to: int | None = None) -> np.ndarray:
         """Per-edge probability of being in the canonical maximum matching."""
-        per_edge: list[list[float]] = [[] for _ in range(self.graph.m)]
-        for mask, p in self.distribution.items():
-            if restrict_to is not None:
-                mask &= restrict_to
-            for i in self.matcher.for_mask(mask).indices:
-                per_edge[i].append(p)
-        return np.array([math.fsum(t) for t in per_edge], dtype=np.float64)
+        return _edge_means(self.matcher, self.distribution.items(), 1.0, restrict_to)
+
+
+def _resolve_mode(g: StochasticGraph, mode: str, budget_bits: int) -> str:
+    """"exact" or "mc"; "auto" is exact when the graph fits the budget."""
+    if mode not in ("auto", "exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "auto":
+        return "exact" if g.n + g.m <= budget_bits else "mc"
+    return mode
+
+
+def _outcomes(
+    g: StochasticGraph,
+    mode: str,
+    rng: RngSeed | np.random.Generator | None,
+    samples: int,
+    budget_bits: int,
+    index: int,
+    confidence: float = 0.99,
+) -> tuple[CanonicalMatcher, _Outcomes, float]:
+    """(matcher, outcomes, divisor) for a resolved mode; Monte Carlo draws
+    substream ``(ESTIMATOR_DRAWS, index)`` of an RngSeed, or a Generator."""
+    if mode == "exact":
+        oracle = ExhaustiveOracle(g, budget_bits)
+        return oracle.matcher, oracle.distribution.items(), 1.0
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if not (0.0 < confidence < 1.0):
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+    if rng is None:
+        raise ValueError("Monte Carlo mode needs an rng")
+    gen = rng.generator(ESTIMATOR_DRAWS, index) if isinstance(rng, RngSeed) else rng
+    _, emasks = _sample_masks(g, gen, samples)
+    return CanonicalMatcher(g), [(emask, 1.0) for emask in emasks], float(samples)
 
 
 def expected_matching_exact(
@@ -112,8 +161,7 @@ def expected_matching_exact(
     Raises:
         BudgetExceededError: when n + m exceeds budget_bits.
     """
-    oracle = ExhaustiveOracle(g, budget_bits)
-    return Estimate(oracle.expected_value(restrict_to), 0.0, "exact")
+    return Estimate(ExhaustiveOracle(g, budget_bits).expected_value(restrict_to), 0.0, "exact")
 
 
 def expected_matching_mc(
@@ -130,20 +178,12 @@ def expected_matching_mc(
     drawn from one substream in a fixed order, so a given RngSeed always
     reproduces the estimate bit for bit.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-    gen = rng.generator(ESTIMATOR_DRAWS, 0) if isinstance(rng, RngSeed) else rng
-    matcher = CanonicalMatcher(g)
-    _, emasks = _sample_masks(g, gen, samples)
-    if restrict_to is not None:
-        emasks = [emask & restrict_to for emask in emasks]
-    values = [matcher.value_for_mask(emask) for emask in emasks]
-    mean = math.fsum(values) / samples
-    spread = max(values) - min(values)
-    half = spread * math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
-    return Estimate(mean, half, "monte-carlo", samples, confidence)
+    matcher, outcomes, divisor = _outcomes(
+        g, "mc", rng, samples, ENUMERATION_BUDGET_BITS, 0, confidence
+    )
+    mean, values = _mean_value(matcher, outcomes, divisor, restrict_to)
+    scale = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
+    return Estimate(mean, (max(values) - min(values)) * scale, "monte-carlo", samples, confidence)
 
 
 def approximation_ratio(
@@ -167,29 +207,12 @@ def approximation_ratio(
             evaluated on the same sampled realizations, so at
             p_v = p_e = 1 the ratio is exactly 1.0 with zero width.
     """
-    if mode not in ("auto", "exact", "mc"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "exact" if g.n + g.m <= budget_bits else "mc"
+    mode = _resolve_mode(g, mode, budget_bits)
+    matcher, outcomes, divisor = _outcomes(g, mode, rng, samples, budget_bits, 0, confidence)
+    den, den_values = _mean_value(matcher, outcomes, divisor)
+    num, num_values = _mean_value(matcher, outcomes, divisor, restrict_to)
     if mode == "exact":
-        oracle = ExhaustiveOracle(g, budget_bits)
-        den = oracle.expected_value()
-        if den == 0.0:
-            return Estimate(1.0, 0.0, "exact")
-        num = oracle.expected_value(restrict_to)
-        return Estimate(num / den, 0.0, "exact")
-    if rng is None:
-        raise ValueError("Monte Carlo mode needs an rng")
-    gen = rng.generator(ESTIMATOR_DRAWS, 0) if isinstance(rng, RngSeed) else rng
-    matcher = CanonicalMatcher(g)
-    _, emasks = _sample_masks(g, gen, samples)
-    num_values = []
-    den_values = []
-    for emask in emasks:
-        den_values.append(matcher.value_for_mask(emask))
-        num_values.append(matcher.value_for_mask(emask & restrict_to))
-    den = math.fsum(den_values) / samples
-    num = math.fsum(num_values) / samples
+        return Estimate(num / den if den != 0.0 else 1.0, 0.0, "exact")
     if den == 0.0:
         return Estimate(1.0, 0.0, "monte-carlo", samples, confidence)
     scale = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .edcs import build_edcs, compute_beta, verify_edcs
-from .estimator import approximation_ratio
+from .estimator import _resolve_mode, approximation_ratio
 from .fractional import (
     CrucialClassification,
     EdgeStats,
@@ -129,8 +129,6 @@ def run_fractional_pipeline(
     eps = params.epsilon
     matcher = CanonicalMatcher(g)
     sp = build_sparsifier(g, params, rng, matcher)
-    if q_mode == "auto":
-        q_mode = "exact" if g.n + g.m <= budget_bits else "mc"
     stats = compute_edge_stats(
         g, mode=q_mode, rng=rng, samples=samples, budget_bits=budget_bits, sparsifier=sp
     )
@@ -245,32 +243,27 @@ def _evaluate_point(cfg_data: dict, index: int) -> dict:
     p_v, p_e, eps = cfg.sweep()[index]
     g = cfg.base_graph().with_probabilities(p_v, p_e)
     rng = RngSeed(cfg.seed, stream=index)
-    mode = cfg.q_mode
-    if mode == "auto":
-        mode = "exact" if g.n + g.m <= cfg.budget_bits else "mc"
+    mode = _resolve_mode(g, cfg.q_mode, cfg.budget_bits)
 
     if cfg.algorithm == "sparsifier":
         result = run_fractional_pipeline(
             g, eps, rng, r_cap=cfg.r_cap, q_mode=mode,
             samples=cfg.samples, budget_bits=cfg.budget_bits,
         )
-        ratio = approximation_ratio(
-            g, result.sparsifier.edge_mask, mode=mode, rng=rng,
-            samples=cfg.samples, budget_bits=cfg.budget_bits,
-        )
+        kept = result.sparsifier.edge_mask
         r_or_beta = result.params.rounds
         max_deg = result.sparsifier.subgraph_max_degree()
         passed = result.checks_passed
     else:
         params = compute_beta(eps, p_v, p_e, cfg.c_const)
         h = build_edcs(g, params)
-        ratio = approximation_ratio(
-            g, h.edge_mask, mode=mode, rng=rng,
-            samples=cfg.samples, budget_bits=cfg.budget_bits,
-        )
+        kept = h.edge_mask
         r_or_beta = params.beta
         max_deg = h.max_degree()
         passed = not verify_edcs(g, h)
+    ratio = approximation_ratio(
+        g, kept, mode=mode, rng=rng, samples=cfg.samples, budget_bits=cfg.budget_bits
+    )
 
     return {
         "graph_id": cfg.graph_id(),

@@ -26,18 +26,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .estimator import ExhaustiveOracle
+from .estimator import _edge_means, _outcomes, _resolve_mode
 from .graph import StochasticGraph, indices_from_mask, iter_bits, mask_from_indices
 from .matching import CanonicalMatcher, Matching, matching_from_indices
 from .realization import (
     CRUCIAL_DRAWS,
     ENUMERATION_BUDGET_BITS,
-    ESTIMATOR_DRAWS,
     Realization,
     RngSeed,
     _sample_masks,
@@ -99,22 +97,19 @@ class EdgeStats:
         idx = range(self.graph.m) if within is None else iter_bits(within)
         return math.fsum(w[i] * self.q[i] for i in idx)
 
-    def vertex_q_array(self, within: int | None = None) -> np.ndarray:
+    def _vertex_sums(self, per_edge: np.ndarray, within: int | None) -> np.ndarray:
         out = np.zeros(self.graph.n)
         for i, e in enumerate(self.graph.edges):
             if within is None or within >> i & 1:
-                out[e.u] += self.q[i]
-                out[e.v] += self.q[i]
+                out[e.u] += per_edge[i]
+                out[e.v] += per_edge[i]
         return out
 
+    def vertex_q_array(self, within: int | None = None) -> np.ndarray:
+        return self._vertex_sums(self.q, within)
+
     def vertex_phi_array(self, within: int | None = None) -> np.ndarray:
-        out = np.zeros(self.graph.n)
-        w = self.graph.weight_array
-        for i, e in enumerate(self.graph.edges):
-            if within is None or within >> i & 1:
-                out[e.u] += w[i] * self.q[i]
-                out[e.v] += w[i] * self.q[i]
-        return out
+        return self._vertex_sums(self.graph.weight_array * self.q, within)
 
 
 def compute_edge_stats(
@@ -124,7 +119,6 @@ def compute_edge_stats(
     samples: int = 100_000,
     budget_bits: int = ENUMERATION_BUDGET_BITS,
     sparsifier: Sparsifier | None = None,
-    oracle: ExhaustiveOracle | None = None,
 ) -> EdgeStats:
     """Per-edge matching probabilities q_e, exact or by Monte Carlo.
 
@@ -134,27 +128,14 @@ def compute_edge_stats(
         rng: required for Monte Carlo.
         sparsifier: when given, its empirical frequencies are attached
             as ``f`` (they estimate the same q_e).
-        oracle: optional pre-built ExhaustiveOracle to reuse.
     """
-    if mode not in ("auto", "exact", "mc"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "exact" if g.n + g.m <= budget_bits else "mc"
+    mode = _resolve_mode(g, mode, budget_bits)
+    matcher, outcomes, divisor = _outcomes(g, mode, rng, samples, budget_bits, 1)
+    q = _edge_means(matcher, outcomes, divisor)
     f = sparsifier.f if sparsifier is not None else None
     if mode == "exact":
-        if oracle is None:
-            oracle = ExhaustiveOracle(g, budget_bits)
-        return EdgeStats(g, oracle.edge_probabilities(), "exact", 0, f)
-    if rng is None:
-        raise ValueError("Monte Carlo mode needs an rng")
-    gen = rng.generator(ESTIMATOR_DRAWS, 1) if isinstance(rng, RngSeed) else rng
-    matcher = CanonicalMatcher(g)
-    counts = np.zeros(g.m, dtype=np.int64)
-    _, emasks = _sample_masks(g, gen, samples)
-    for emask in emasks:
-        for i in matcher.for_mask(emask).indices:
-            counts[i] += 1
-    return EdgeStats(g, counts / float(samples), "monte-carlo", samples, f)
+        return EdgeStats(g, q, "exact", 0, f)
+    return EdgeStats(g, q, "monte-carlo", samples, f)
 
 
 @dataclass(eq=False)

@@ -236,18 +236,18 @@ class CanonicalMatcher:
         self._cache: dict[int, Matching] = {}
         self._conflict = _conflict_masks([(e.u, e.v) for e in g.edges])
         self._weight = [e.weight for e in g.edges]
+        self._all_edges = g.all_edges_mask
 
     def for_mask(self, edge_mask: int | None = None) -> Matching:
         """Canonical maximum-weight matching of the subgraph with exactly
         the edges of ``edge_mask`` (all edges when None).  Indices in the
         result are the graph's canonical edge indices."""
-        g = self.graph
-        mask = g.all_edges_mask if edge_mask is None else edge_mask & g.all_edges_mask
+        mask = self._all_edges if edge_mask is None else edge_mask & self._all_edges
         hit = self._cache.get(mask)
         if hit is not None:
             return hit
         indices = _optimum(mask, self._conflict, self._weight, self._cache)
-        chosen = tuple(g.edges[i] for i in indices)
+        chosen = tuple(self.graph.edges[i] for i in indices)
         result = Matching(indices, chosen, math.fsum(e.weight for e in chosen))
         self._cache[mask] = result
         return result

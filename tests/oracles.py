@@ -6,7 +6,8 @@ enumeration over edges for matchings, full outcome enumeration for
 expectations, full edge rescans for degree-constrained subgraphs, and a
 memoized search over (edge position, used vertices) for canonical
 matchings.  Tests freeze values produced by these oracles (and by hand)
-and check the package against them.
+and check the package against them.  The last section is the exception:
+copies of earlier package loops, kept to pin down a later rewrite.
 """
 
 from __future__ import annotations
@@ -226,3 +227,105 @@ def reference_canonical_matching(triples):
         return res
 
     return best(0, 0)[1]
+
+
+# -- The estimator's reductions before they were merged ---------------------------
+# Verbatim copies of the earlier package loops (``self`` -> ``oracle``; the
+# exact branch of the ratio calls the copied oracle reducer).  Unlike the rest
+# of this module they use the package's sampler, matcher and oracle
+# distribution, which have references of their own; what they pin down is the
+# reduction: weights, divisors, substream indices and where a restriction
+# applies.
+
+
+def reference_oracle_expected_value(oracle, restrict_to=None):
+    """``ExhaustiveOracle.expected_value`` as a loop over the distribution."""
+    matcher = oracle.matcher
+    if restrict_to is None:
+        terms = [p * matcher.value_for_mask(mask) for mask, p in oracle.distribution.items()]
+    else:
+        terms = [
+            p * matcher.value_for_mask(mask & restrict_to)
+            for mask, p in oracle.distribution.items()
+        ]
+    return math.fsum(terms)
+
+
+def reference_oracle_edge_probabilities(oracle, restrict_to=None):
+    """``ExhaustiveOracle.edge_probabilities`` as a loop over the distribution."""
+    import numpy as np
+
+    per_edge = [[] for _ in range(oracle.graph.m)]
+    for mask, p in oracle.distribution.items():
+        if restrict_to is not None:
+            mask &= restrict_to
+        for i in oracle.matcher.for_mask(mask).indices:
+            per_edge[i].append(p)
+    return np.array([math.fsum(t) for t in per_edge], dtype=np.float64)
+
+
+def reference_expected_matching_mc(g, rng, samples, restrict_to=None, confidence=0.99):
+    """(value, ci) of the Monte Carlo value loop."""
+    from stochmatch.matching import CanonicalMatcher
+    from stochmatch.realization import ESTIMATOR_DRAWS, RngSeed, _sample_masks
+
+    gen = rng.generator(ESTIMATOR_DRAWS, 0) if isinstance(rng, RngSeed) else rng
+    matcher = CanonicalMatcher(g)
+    _, emasks = _sample_masks(g, gen, samples)
+    if restrict_to is not None:
+        emasks = [emask & restrict_to for emask in emasks]
+    values = [matcher.value_for_mask(emask) for emask in emasks]
+    mean = math.fsum(values) / samples
+    spread = max(values) - min(values)
+    half = spread * math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
+    return mean, half
+
+
+def reference_approximation_ratio(g, restrict_to, mode, rng=None, samples=0, confidence=0.99):
+    """(ratio, ci) of the exact and the paired Monte Carlo ratio loops."""
+    from stochmatch.estimator import ExhaustiveOracle
+    from stochmatch.matching import CanonicalMatcher
+    from stochmatch.realization import ESTIMATOR_DRAWS, RngSeed, _sample_masks
+
+    if mode == "exact":
+        oracle = ExhaustiveOracle(g)
+        den = reference_oracle_expected_value(oracle)
+        if den == 0.0:
+            return 1.0, 0.0
+        num = reference_oracle_expected_value(oracle, restrict_to)
+        return num / den, 0.0
+    gen = rng.generator(ESTIMATOR_DRAWS, 0) if isinstance(rng, RngSeed) else rng
+    matcher = CanonicalMatcher(g)
+    _, emasks = _sample_masks(g, gen, samples)
+    num_values = []
+    den_values = []
+    for emask in emasks:
+        den_values.append(matcher.value_for_mask(emask))
+        num_values.append(matcher.value_for_mask(emask & restrict_to))
+    den = math.fsum(den_values) / samples
+    num = math.fsum(num_values) / samples
+    if den == 0.0:
+        return 1.0, 0.0
+    scale = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
+    half_num = (max(num_values) - min(num_values)) * scale
+    half_den = (max(den_values) - min(den_values)) * scale
+    ratio = num / den
+    half = (half_num + abs(ratio) * half_den) / den
+    return ratio, half
+
+
+def reference_mc_edge_probabilities(g, rng, samples):
+    """q of the Monte Carlo per-edge counting loop."""
+    import numpy as np
+
+    from stochmatch.matching import CanonicalMatcher
+    from stochmatch.realization import ESTIMATOR_DRAWS, RngSeed, _sample_masks
+
+    gen = rng.generator(ESTIMATOR_DRAWS, 1) if isinstance(rng, RngSeed) else rng
+    matcher = CanonicalMatcher(g)
+    counts = np.zeros(g.m, dtype=np.int64)
+    _, emasks = _sample_masks(g, gen, samples)
+    for emask in emasks:
+        for i in matcher.for_mask(emask).indices:
+            counts[i] += 1
+    return counts / float(samples)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from stochmatch.errors import BudgetExceededError
@@ -14,11 +15,22 @@ from stochmatch.estimator import (
     expected_matching_exact,
     expected_matching_mc,
 )
+from stochmatch.experiment import run_fractional_pipeline
+from stochmatch.fractional import compute_edge_stats
 from stochmatch.graph import StochasticGraph, mask_from_indices
 from stochmatch.matching import max_weight_matching
 from stochmatch.realization import RngSeed
 
-from oracles import oracle_edge_match_probabilities, oracle_expected_value, random_test_graph
+from oracles import (
+    oracle_edge_match_probabilities,
+    oracle_expected_value,
+    random_test_graph,
+    reference_approximation_ratio,
+    reference_expected_matching_mc,
+    reference_mc_edge_probabilities,
+    reference_oracle_edge_probabilities,
+    reference_oracle_expected_value,
+)
 
 
 def test_exact_value_matches_oracle_on_random_graphs():
@@ -157,3 +169,108 @@ def test_mc_input_validation():
         expected_matching_mc(g, RngSeed(0), samples=0)
     with pytest.raises(ValueError):
         expected_matching_mc(g, RngSeed(0), samples=10, confidence=1.0)
+
+
+# Each Monte Carlo entry point given one bad input: (call(g, rng), message).
+_BAD_MC_INPUTS = {
+    "edge_stats samples=0": (
+        lambda g, rng: compute_edge_stats(g, mode="mc", rng=rng, samples=0), "samples"),
+    "edge_stats samples=-2": (
+        lambda g, rng: compute_edge_stats(g, mode="mc", rng=rng, samples=-2), "samples"),
+    "edge_stats rng=None": (
+        lambda g, rng: compute_edge_stats(g, mode="mc", rng=None, samples=10), "needs an rng"),
+    "ratio samples=-3": (
+        lambda g, rng: approximation_ratio(g, 1, mode="mc", rng=rng, samples=-3), "samples"),
+    "ratio samples=0": (
+        lambda g, rng: approximation_ratio(g, 1, mode="mc", rng=rng, samples=0), "samples"),
+    "ratio confidence=1.0": (
+        lambda g, rng: approximation_ratio(g, 1, mode="mc", rng=rng, samples=10, confidence=1.0),
+        "confidence"),
+    "ratio confidence=1.5": (
+        lambda g, rng: approximation_ratio(g, 1, mode="mc", rng=rng, samples=10, confidence=1.5),
+        "confidence"),
+    "ratio confidence=0.0": (
+        lambda g, rng: approximation_ratio(g, 1, mode="mc", rng=rng, samples=10, confidence=0.0),
+        "confidence"),
+    "value confidence=1.5": (
+        lambda g, rng: expected_matching_mc(g, rng, 10, confidence=1.5), "confidence"),
+    "value rng=None": (lambda g, rng: expected_matching_mc(g, None, 10), "needs an rng"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_BAD_MC_INPUTS))
+def test_mc_inputs_are_refused_before_any_draw(label):
+    call, message = _BAD_MC_INPUTS[label]
+    g = StochasticGraph(3, [(0, 1), (1, 2)], p_v=0.5, p_e=0.5)
+    gen = np.random.default_rng(5)
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        call(g, gen)
+    assert gen.bit_generator.state == before
+
+
+def test_pipeline_refuses_zero_mc_samples():
+    g = StochasticGraph(4, [(0, 1), (1, 2), (2, 3)], p_v=0.8, p_e=0.8)
+    with pytest.raises(ValueError, match="samples"):
+        run_fractional_pipeline(g, 0.3, RngSeed(1), r_cap=20, q_mode="mc", samples=0)
+
+
+def _equivalence_graphs():
+    """40 seeded graphs, eight of each kind, kinds in turn: weights with
+    ties and zeros, dyadic weights, unweighted, p_v = p_e = 1 (weights
+    with ties and zeros), and edgeless."""
+    rng = random.Random(2024)
+    graphs = []
+    for k in range(40):
+        kind = k % 5
+        n, edges = random_test_graph(rng, max_n=5, max_m=7, weighted=kind == 1)
+        if kind in (0, 3):
+            edges = [(u, v, float(rng.choice([0, 1, 2]))) for u, v, _ in edges]
+        if kind == 4:
+            edges = []
+        p_v, p_e = rng.choice([0.3, 0.6, 0.9]), rng.choice([0.4, 0.7, 1.0])
+        if kind == 3:
+            p_v = p_e = 1.0
+        graphs.append(StochasticGraph(n, edges, p_v=p_v, p_e=p_e, weighted=kind != 2))
+    return graphs
+
+
+def _hexes(xs):
+    return [float(x).hex() for x in xs]
+
+
+def test_merged_reducers_match_the_earlier_loops_bit_for_bit():
+    pick = random.Random(7)
+    for k, g in enumerate(_equivalence_graphs()):
+        every = g.all_edges_mask
+        masks = [None, 0, every, pick.randrange(every + 1)]
+        oracle, ref = ExhaustiveOracle(g), ExhaustiveOracle(g)
+        exact_q = compute_edge_stats(g, mode="exact").q
+        assert _hexes(exact_q) == _hexes(reference_oracle_edge_probabilities(ref))
+        for r in masks:
+            want = reference_oracle_expected_value(ref, r)
+            assert oracle.expected_value(r).hex() == want.hex()
+            assert expected_matching_exact(g, r).value.hex() == want.hex()
+            got_q = oracle.edge_probabilities(r)
+            assert _hexes(got_q) == _hexes(reference_oracle_edge_probabilities(ref, r))
+        for r in masks[1:]:
+            est = approximation_ratio(g, r, mode="exact")
+            want = reference_approximation_ratio(g, r, "exact")
+            assert _hexes([est.value, est.ci]) == _hexes(want)
+        confidence = (0.99, 0.9)[k % 2]
+        for seeded in (True, False):
+            def rng():
+                return RngSeed(k, stream=3) if seeded else np.random.default_rng(k)
+
+            for r in masks:
+                est = expected_matching_mc(g, rng(), 150, r, confidence)
+                want = reference_expected_matching_mc(g, rng(), 150, r, confidence)
+                assert _hexes([est.value, est.ci]) == _hexes(want), (k, seeded, r)
+                assert (est.mode, est.samples, est.confidence) == ("monte-carlo", 150, confidence)
+            for r in masks[1:]:
+                est = approximation_ratio(g, r, "mc", rng(), 150, confidence)
+                want = reference_approximation_ratio(g, r, "mc", rng(), 150, confidence)
+                assert _hexes([est.value, est.ci]) == _hexes(want), (k, seeded, r)
+            stats = compute_edge_stats(g, mode="mc", rng=rng(), samples=150)
+            assert _hexes(stats.q) == _hexes(reference_mc_edge_probabilities(g, rng(), 150))
+            assert (stats.mode, stats.samples) == ("monte-carlo", 150)
