@@ -34,6 +34,7 @@ from .experiment import DEFAULT_R_CAP, ExperimentConfig, run_experiment
 from .generators import generate_graph, parse_generator, parse_weights
 from .graph import StochasticGraph
 from .io import dump_json, graph_from_json, graph_to_json, load_json, parse_graph_file
+from .matching import _per_call_scope
 from .realization import ENUMERATION_BUDGET_BITS, RngSeed
 from .sparsifier import Sparsifier, SparsifierParams, build_sparsifier, compute_params
 
@@ -136,6 +137,11 @@ def _cmd_edcs(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
+# estimate and check run the expectation and the ratio on one graph, so
+# each opens one scope for both.  Other commands run one stage per graph,
+# and each point of an experiment sweep opens its own scope; a scope
+# around the whole sweep would hold every point's cache until the end.
+@_per_call_scope()
 def _cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     mode = _resolve_mode(g, args.mode, args.budget_bits)
@@ -160,6 +166,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "ci": est.ci,
         "samples": est.samples,
         "confidence": est.confidence,
+        "budget_bits": args.budget_bits,
     }
     if restrict is not None:
         ratio = approximation_ratio(
@@ -191,6 +198,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             "graph": graph_to_json(g),
             "q": [float(x) for x in q],
             "expected_value": value,
+            "budget_bits": args.budget_bits,
         }
         dump_json(artifact, args.output)
         print(f"wrote {args.output}")
@@ -246,7 +254,7 @@ def _check_edcs(artifact: dict) -> list[str]:
 
 def _check_oracle(artifact: dict) -> list[str]:
     g = graph_from_json(artifact["graph"])
-    oracle = ExhaustiveOracle(g)
+    oracle = ExhaustiveOracle(g, artifact.get("budget_bits", ENUMERATION_BUDGET_BITS))
     q = oracle.edge_probabilities()
     problems = [
         f"q[{i}] recorded {artifact['q'][i]!r}, recomputed {float(q[i])!r}"
@@ -266,17 +274,19 @@ def _check_estimate(artifact: dict) -> list[str]:
     restrict = None
     if "restrict_edges" in artifact:
         restrict = _mask_from_pairs(g, artifact["restrict_edges"])
+    budget_bits = artifact.get("budget_bits", ENUMERATION_BUDGET_BITS)
     problems = []
-    value = expected_matching_exact(g, restrict).value
+    value = expected_matching_exact(g, restrict, budget_bits).value
     if abs(artifact["value"] - value) > 1e-12:
         problems.append(f"value recorded {artifact['value']!r}, recomputed {value!r}")
     if restrict is not None:
-        ratio = approximation_ratio(g, restrict, mode="exact").value
+        ratio = approximation_ratio(g, restrict, mode="exact", budget_bits=budget_bits).value
         if abs(artifact["ratio"] - ratio) > 1e-12:
             problems.append(f"ratio recorded {artifact['ratio']!r}, recomputed {ratio!r}")
     return problems
 
 
+@_per_call_scope()
 def _cmd_check(args: argparse.Namespace) -> int:
     artifact = load_json(args.artifact)
     kind = artifact.get("kind")

@@ -44,7 +44,7 @@ import numpy as np
 
 from .estimator import Estimate, approximation_ratio
 from .graph import StochasticGraph, indices_from_mask, mask_from_indices
-from .matching import CanonicalMatcher
+from .matching import _scoped_matcher
 from .realization import ENUMERATION_BUDGET_BITS, RngSeed
 
 __all__ = [
@@ -234,7 +234,7 @@ def edcs_matching_ratio(
         if params is None:
             raise ValueError("either params or a prebuilt subgraph is required")
         h = build_edcs(g, params)
-    matcher = CanonicalMatcher(g)
+    matcher = _scoped_matcher(g)
     full = matcher.value_for_mask(None)
     if full == 0.0:
         return 1.0

@@ -22,7 +22,7 @@ from typing import Collection
 import numpy as np
 
 from .graph import StochasticGraph
-from .matching import CanonicalMatcher
+from .matching import CanonicalMatcher, _per_call, _scoped_matcher
 from .realization import (
     ENUMERATION_BUDGET_BITS,
     ESTIMATOR_DRAWS,
@@ -96,12 +96,23 @@ class ExhaustiveOracle:
     vertices alive reaches each one), so in this order each new solve
     finds both in the matcher's cache; a restricted query's submasks are
     earlier outcomes too.
+
+    Inside an open ``matching._per_call_scope()`` every oracle of one
+    graph object shares its matcher with the other stages and, per
+    ``budget_bits``, one distribution, so a sweep point or a command
+    enumerates once; outside any scope each oracle builds both.  A
+    distribution is reused only under the budget it was built with, so
+    every construction is refused that would be refused alone.
     """
 
     def __init__(self, g: StochasticGraph, budget_bits: int = ENUMERATION_BUDGET_BITS):
-        self.distribution = dict(sorted(edge_mask_distribution(g, budget_bits).items()))
+        self.distribution = _per_call(
+            g,
+            ("outcomes", budget_bits),
+            lambda: dict(sorted(edge_mask_distribution(g, budget_bits).items())),
+        )
         self.graph = g
-        self.matcher = CanonicalMatcher(g)
+        self.matcher = _scoped_matcher(g)
 
     def expected_value(self, restrict_to: int | None = None) -> float:
         """E of the maximum-matching value, optionally discarding

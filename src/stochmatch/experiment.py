@@ -37,7 +37,7 @@ from .fractional import (
 from .generators import GeneratorSpec, generate_graph, parse_generator, parse_weights
 from .graph import StochasticGraph
 from .io import dump_json, parse_graph_file
-from .matching import CanonicalMatcher, Matching
+from .matching import Matching, _per_call_scope
 from .realization import ENUMERATION_BUDGET_BITS, Realization, RngSeed, sample_realization
 from .sparsifier import Sparsifier, SparsifierParams, build_sparsifier, classify_edges, compute_params
 
@@ -108,6 +108,7 @@ class PipelineResult:
         return all(self.checks.values())
 
 
+@_per_call_scope()
 def run_fractional_pipeline(
     g: StochasticGraph,
     epsilon: float,
@@ -127,15 +128,12 @@ def run_fractional_pipeline(
     if params is None:
         params = compute_params(epsilon, g.p_v, g.p_e, r_cap)
     eps = params.epsilon
-    matcher = CanonicalMatcher(g)
-    sp = build_sparsifier(g, params, rng, matcher)
-    stats = compute_edge_stats(
-        g, mode=q_mode, rng=rng, samples=samples, budget_bits=budget_bits, sparsifier=sp
-    )
+    sp = build_sparsifier(g, params, rng)
+    stats = compute_edge_stats(g, mode=q_mode, rng=rng, samples=samples, budget_bits=budget_bits)
     crucial_mask, non_crucial_mask = classify_edges(sp, stats.q)
     realized = sample_realization(g, rng)
     x_nc = non_crucial_procedure(sp, stats, non_crucial_mask, realized)
-    m_c = sample_crucial_matching(sp, g, crucial_mask, realized=realized, matcher=matcher)
+    m_c = sample_crucial_matching(sp, g, crucial_mask, realized=realized)
     if g.weighted:
         x = crucial_procedure_weighted(x_nc, m_c, stats, non_crucial_mask, eps)
         classification = classify_crucial_weighted(m_c, stats, non_crucial_mask)
@@ -153,7 +151,7 @@ def run_fractional_pipeline(
     checks["blossom"] = not check_blossom_constraints(x, eps)
     integral = None
     try:
-        integral = round_to_integral(x, view, eps, matcher)
+        integral = round_to_integral(x, view, eps)
         checks["integral"] = True
     except (RuntimeError, ValueError):
         checks["integral"] = False
@@ -237,6 +235,7 @@ class ExperimentConfig:
         ]
 
 
+@_per_call_scope()
 def _evaluate_point(cfg_data: dict, index: int) -> dict:
     """One sweep point -> one row dict.  Depends only on (config, index)."""
     cfg = ExperimentConfig.from_dict(cfg_data)

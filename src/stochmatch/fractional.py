@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .estimator import _edge_means, _outcomes, _resolve_mode
 from .graph import StochasticGraph, indices_from_mask, iter_bits, mask_from_indices
-from .matching import CanonicalMatcher, Matching, matching_from_indices
+from .matching import Matching, _scoped_matcher, matching_from_indices
 from .realization import (
     CRUCIAL_DRAWS,
     ENUMERATION_BUDGET_BITS,
@@ -77,15 +77,12 @@ class EdgeStats:
             matching of a realization (exact or estimated).
         mode: "exact" or "monte-carlo".
         samples: Monte Carlo sample count (0 for exact).
-        f: optional sparsifier frequencies, carried along for procedures
-            that consume both.
     """
 
     graph: StochasticGraph
     q: np.ndarray
     mode: str
     samples: int = 0
-    f: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.q.shape != (self.graph.m,):
@@ -118,7 +115,6 @@ def compute_edge_stats(
     rng: RngSeed | None = None,
     samples: int = 100_000,
     budget_bits: int = ENUMERATION_BUDGET_BITS,
-    sparsifier: Sparsifier | None = None,
 ) -> EdgeStats:
     """Per-edge matching probabilities q_e, exact or by Monte Carlo.
 
@@ -126,16 +122,13 @@ def compute_edge_stats(
         mode: "exact" (enumeration), "mc" (sampling), or "auto" (exact
             when the graph fits the enumeration budget).
         rng: required for Monte Carlo.
-        sparsifier: when given, its empirical frequencies are attached
-            as ``f`` (they estimate the same q_e).
     """
     mode = _resolve_mode(g, mode, budget_bits)
     matcher, outcomes, divisor = _outcomes(g, mode, rng, samples, budget_bits, 1)
     q = _edge_means(matcher, outcomes, divisor)
-    f = sparsifier.f if sparsifier is not None else None
     if mode == "exact":
-        return EdgeStats(g, q, "exact", 0, f)
-    return EdgeStats(g, q, "monte-carlo", samples, f)
+        return EdgeStats(g, q, "exact")
+    return EdgeStats(g, q, "monte-carlo", samples)
 
 
 @dataclass(eq=False)
@@ -224,7 +217,6 @@ def sample_crucial_matching(
     crucial_mask: int,
     rng: RngSeed | np.random.Generator | None = None,
     realized: Realization | None = None,
-    matcher: CanonicalMatcher | None = None,
 ) -> Matching:
     """One crucial matching M_C: canonical matching of a realization,
     intersected with the crucial edges of Q.
@@ -243,9 +235,7 @@ def sample_crucial_matching(
         _, (edge_mask,) = _sample_masks(g, gen)
     else:
         raise ValueError("either a realization or an rng is required")
-    if matcher is None:
-        matcher = CanonicalMatcher(g)
-    base = matcher.for_mask(edge_mask)
+    base = _scoped_matcher(g).for_mask(edge_mask)
     keep = crucial_mask & s.edge_mask & edge_mask
     return matching_from_indices(g, (i for i in base.indices if keep >> i & 1))
 
@@ -479,7 +469,6 @@ def round_to_integral(
     fm: FractionalMatching,
     view_mask: int,
     epsilon: float,
-    matcher: CanonicalMatcher | None = None,
 ) -> Matching:
     """Integral matching on the support, worth at least (1 - eps) of it.
 
@@ -499,9 +488,7 @@ def round_to_integral(
     if support & ~view_mask:
         outside = indices_from_mask(support & ~view_mask)
         raise ValueError(f"fractional mass on edges {outside} outside the realized view")
-    if matcher is None:
-        matcher = CanonicalMatcher(fm.graph)
-    result = matcher.for_mask(support)
+    result = _scoped_matcher(fm.graph).for_mask(support)
     target = (1.0 - epsilon) * fm.total_value()
     if result.total_weight < target - 1e-9:
         raise RuntimeError(

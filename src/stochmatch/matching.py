@@ -29,14 +29,26 @@ polynomial blossom implementation.
 
 Unweighted graphs carry weight 1.0 on every edge, so maximum weight
 coincides with maximum cardinality and needs no separate code path.
+
+Who owns a graph's matcher is decided here, by one private per-call
+scope.  ``_per_call_scope()`` opens it around one operation: a pipeline
+run, one sweep point (builder plus ratio), or a CLI ``estimate`` or
+``check``; an open inside an open scope reuses it.  Inside it
+:func:`_scoped_matcher` hands every stage the same
+:class:`CanonicalMatcher` for a graph object, so an edge set solved by
+the sparsifier rounds is not solved again for q or the ratio, and
+``_per_call`` keeps other per-graph values (the exact outcome list) the
+same way.  Outside a scope every call builds its own.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .graph import Edge, StochasticGraph
 
@@ -229,6 +241,14 @@ class CanonicalMatcher:
     solver record (value, non-empty) is re-derived from the Matching.
     A caller that queries masks in ascending order therefore finds both
     children of every new mask cached.
+
+    The package's stages take their matcher from :func:`_scoped_matcher`,
+    which shares one per graph object for as long as a
+    ``_per_call_scope()`` is open and drops it when that scope exits.
+    The cache is not kept per process or per graph: it keeps every
+    queried mask, so a process-wide one would grow without bound, and a
+    graph object reused across operations would make later operations
+    start warm.
     """
 
     def __init__(self, g: StochasticGraph):
@@ -257,3 +277,40 @@ class CanonicalMatcher:
 
     def cache_size(self) -> int:
         return len(self._cache)
+
+
+_T = TypeVar("_T")
+
+# id(graph) -> (graph, {key: value}) while a scope is open; the graph is
+# held so its id cannot be reused by another object inside the scope.
+_SCOPE: ContextVar[dict | None] = ContextVar("stochmatch_per_call_scope", default=None)
+
+
+@contextmanager
+def _per_call_scope() -> Iterator[None]:
+    """Share per-graph values until exit; a nested open reuses the outer scope."""
+    if _SCOPE.get() is not None:
+        yield
+        return
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _per_call(g: StochasticGraph, key: Hashable, build: Callable[[], _T]) -> _T:
+    """``build()`` once per graph object and key in the open scope, or
+    on every call when no scope is open."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return build()
+    memo = scope.setdefault(id(g), (g, {}))[1]
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _scoped_matcher(g: StochasticGraph) -> CanonicalMatcher:
+    """The matcher of ``g`` for the open scope (a fresh one outside any)."""
+    return _per_call(g, CanonicalMatcher, lambda: CanonicalMatcher(g))

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import StochasticGraph, mask_from_indices
-from .matching import CanonicalMatcher
+from .matching import CanonicalMatcher, _scoped_matcher
 from .realization import SPARSIFIER_DRAWS, RngSeed, _sample_masks
 
 __all__ = [
@@ -168,13 +168,18 @@ def build_sparsifier(
     are addressed, not sequential, so the result is independent of any
     evaluation order.
 
+    Rounds of one graph hit the same realized edge sets repeatedly, so
+    they solve with one cached matcher: the open per-call scope's (see
+    :mod:`stochmatch.matching`), which q and the ratio then reuse, or a
+    fresh one outside any scope.
+
     Args:
-        matcher: optional shared matcher; rounds of one graph hit the
-            same realized edge sets repeatedly, so sharing the cache
-            across calls is a large win.
+        matcher: a matcher to solve with instead, for a caller that
+            reads its cache afterwards (``perfbench/baseline.py`` reports
+            the distinct realized masks); it must belong to ``g``.
     """
     if matcher is None:
-        matcher = CanonicalMatcher(g)
+        matcher = _scoped_matcher(g)
     elif matcher.graph is not g:
         raise ValueError("matcher is bound to a different graph")
     counts = np.zeros(g.m, dtype=np.int64)

@@ -79,13 +79,6 @@ def test_mc_stats_track_exact():
     assert mc.mode == "monte-carlo" and mc.samples == 20000
 
 
-def test_stats_attach_sparsifier_frequencies():
-    g = StochasticGraph(2, [(0, 1)], p_v=0.5)
-    s = Sparsifier(g, manual_params(0.2, 4, 0.3), np.array([2], dtype=np.int64))
-    stats = compute_edge_stats(g, mode="exact", sparsifier=s)
-    assert stats.f.tolist() == [0.5]
-
-
 # ------------------------------------------------------ non-crucial procedure
 
 
@@ -134,7 +127,7 @@ def test_non_crucial_respects_vertex_caps_on_random_instances():
         eps = rng.choice([0.15, 0.2, 0.3])
         params = manual_params(eps, 60, rng.choice([0.05, 0.1, 0.2]))
         s = build_sparsifier(g, params, seed.with_stream(trial))
-        stats = compute_edge_stats(g, mode="exact", sparsifier=s)
+        stats = compute_edge_stats(g, mode="exact")
         crucial, non_crucial = classify_edges(s, stats.q)
         realized = sample_realization(g, seed.with_stream(1000 + trial))
         fm = non_crucial_procedure(s, stats, non_crucial, realized)
@@ -167,7 +160,7 @@ def test_non_crucial_mass_keeps_most_of_phi():
     for tau in (0.05, 0.1):
         params = manual_params(eps, 3000, tau)
         s = build_sparsifier(g, params, RngSeed(11))
-        stats = compute_edge_stats(g, mode="exact", sparsifier=s)
+        stats = compute_edge_stats(g, mode="exact")
         crucial, non_crucial = classify_edges(s, stats.q)
         phi_n = stats.phi(within=non_crucial)
         assert phi_n > 0.0
@@ -191,12 +184,11 @@ def test_crucial_matching_is_coupled_intersection():
         g = StochasticGraph(n, edges, p_v=0.7, p_e=0.7, weighted=True)
         params = manual_params(0.2, 40, 0.15)
         s = build_sparsifier(g, params, seed.with_stream(trial))
-        stats = compute_edge_stats(g, mode="exact", sparsifier=s)
+        stats = compute_edge_stats(g, mode="exact")
         crucial, _ = classify_edges(s, stats.q)
         realized = sample_realization(g, seed.with_stream(500 + trial))
-        matcher = CanonicalMatcher(g)
-        m_c = sample_crucial_matching(s, g, crucial, realized=realized, matcher=matcher)
-        base = set(matcher.for_mask(realized.edge_mask).indices)
+        m_c = sample_crucial_matching(s, g, crucial, realized=realized)
+        base = set(CanonicalMatcher(g).for_mask(realized.edge_mask).indices)
         keep = crucial & s.edge_mask & realized.edge_mask
         assert set(m_c.indices) == {i for i in base if keep >> i & 1}
         assert m_c.is_valid
@@ -289,7 +281,7 @@ def test_unweighted_stage_keeps_loads_bounded_on_random_instances():
         eps = 0.2
         params = manual_params(eps, 50, rng.choice([0.08, 0.15]))
         s = build_sparsifier(g, params, seed.with_stream(trial))
-        stats = compute_edge_stats(g, mode="exact", sparsifier=s)
+        stats = compute_edge_stats(g, mode="exact")
         crucial, non_crucial = classify_edges(s, stats.q)
         realized = sample_realization(g, seed.with_stream(2000 + trial))
         fm = non_crucial_procedure(s, stats, non_crucial, realized)
@@ -489,7 +481,7 @@ def test_weighted_stage_keeps_loads_bounded_on_random_instances():
         eps = 0.2
         params = manual_params(eps, 40, 0.1)
         s = build_sparsifier(g, params, seed.with_stream(trial))
-        stats = compute_edge_stats(g, mode="exact", sparsifier=s)
+        stats = compute_edge_stats(g, mode="exact")
         crucial, non_crucial = classify_edges(s, stats.q)
         realized = sample_realization(g, seed.with_stream(4000 + trial))
         fm = non_crucial_procedure(s, stats, non_crucial, realized)
@@ -643,7 +635,7 @@ def test_round_to_integral_meets_value_bound_on_random_instances():
         eps = 0.2
         params = manual_params(eps, 40, 0.1)
         s = build_sparsifier(g, params, seed.with_stream(trial))
-        stats = compute_edge_stats(g, mode="exact", sparsifier=s)
+        stats = compute_edge_stats(g, mode="exact")
         crucial, non_crucial = classify_edges(s, stats.q)
         realized = sample_realization(g, seed.with_stream(5000 + trial))
         fm = non_crucial_procedure(s, stats, non_crucial, realized)

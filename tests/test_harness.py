@@ -346,6 +346,28 @@ def test_cli_estimate_with_restriction(tmp_path):
     assert main(["check", est]) == 0
 
 
+def test_cli_check_accepts_artifacts_written_over_the_default_budget(tmp_path, capsys):
+    # path(n=12) has n + m = 23 > ENUMERATION_BUDGET_BITS; at p_v = 1 it
+    # has only 2**11 outcomes, so both artifacts are cheap to re-derive.
+    graph = ["--generator", "path(n=12)", "--p-e", "0.5", "--budget-bits", "23"]
+    oracle = str(tmp_path / "o.json")
+    est = str(tmp_path / "e.json")
+    assert main(["oracle", *graph, "--output", oracle]) == 0
+    assert main(["estimate", *graph, "--mode", "exact", "--output", est]) == 0
+    assert load_json(oracle)["budget_bits"] == 23
+    assert load_json(est)["budget_bits"] == 23
+    capsys.readouterr()
+    assert main(["check", oracle]) == 0
+    assert main(["check", est]) == 0
+    assert capsys.readouterr().err == ""
+    # An artifact without the key is re-derived under the default budget.
+    data = load_json(oracle)
+    del data["budget_bits"]
+    (tmp_path / "o.json").write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", oracle]) == 1
+    assert "over the budget of 2**22" in capsys.readouterr().err
+
+
 def test_cli_experiment_runs_config(tmp_path):
     out = str(tmp_path / "rows.csv")
     cfg = dict(
