@@ -123,8 +123,7 @@ class EdcsSubgraph:
     @cached_property
     def degrees(self) -> np.ndarray:
         """Per-vertex degree within the subgraph."""
-        ends = self.graph.endpoint_array[list(self.edge_indices)]
-        return np.bincount(ends.ravel(), minlength=self.graph.n).astype(np.int64, copy=False)
+        return self.graph.vertex_sums(np.ones(self.graph.m), self.edge_mask).astype(np.int64)
 
     @property
     def size(self) -> int:

@@ -3,9 +3,10 @@
 Terminology used throughout: q_e is the probability that edge e is in
 the canonical maximum matching of a random realization, q_v sums q_e
 over edges at v, and phi sums w_e * q_e; a superscript set (here a
-``within`` bitmask) restricts the sums to that edge set.  Edges are
-*crucial* when q_e is at least the sparsifier threshold tau and
-*non-crucial* otherwise.
+``within`` bitmask) restricts the sums to that edge set.  Every such
+per-vertex total, and every load x_v, comes from
+:meth:`StochasticGraph.vertex_sums`.  Edges are *crucial* when q_e is
+at least the sparsifier threshold tau and *non-crucial* otherwise.
 
 The non-crucial stage inflates the sparsifier's empirical frequencies
 back to per-realization scale (dividing by p_v^2 p_e, capping at
@@ -16,16 +17,17 @@ The crucial stage assigns values to one sampled crucial matching M_C:
 the unweighted rule gives edge (u, v) the value
 (1 - eps) * min{1 - q_u, 1 - q_v} (q restricted to non-crucial edges);
 the weighted rule maximizes a piecewise-linear tradeoff h(alpha) between
-the edge's own weight and the non-crucial mass its endpoints would keep.
-Both stages then scale down incident non-crucial values at any vertex
-whose total exceeds 1, so per-vertex budgets hold unconditionally.
+the edge's own weight and the non-crucial mass its endpoints would keep,
+evaluating h on its breakpoints only, where the maximum lies.  Both
+rules then scale down incident non-crucial values at any vertex whose
+total exceeds 1, so per-vertex budgets hold unconditionally.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +35,7 @@ from .errors import BudgetExceededError
 from .estimator import _edge_means, _outcomes, _resolve_mode
 from .graph import StochasticGraph, indices_from_mask, iter_bits, mask_from_indices
 from .matching import Matching, _scoped_matcher, matching_from_indices
-from .realization import (
-    CRUCIAL_DRAWS,
-    ENUMERATION_BUDGET_BITS,
-    Realization,
-    RngSeed,
-    _sample_masks,
-)
+from .realization import ENUMERATION_BUDGET_BITS, Realization, RngSeed
 from .sparsifier import Sparsifier
 
 __all__ = [
@@ -94,19 +90,11 @@ class EdgeStats:
         idx = range(self.graph.m) if within is None else iter_bits(within)
         return math.fsum(w[i] * self.q[i] for i in idx)
 
-    def _vertex_sums(self, per_edge: np.ndarray, within: int | None) -> np.ndarray:
-        out = np.zeros(self.graph.n)
-        for i, e in enumerate(self.graph.edges):
-            if within is None or within >> i & 1:
-                out[e.u] += per_edge[i]
-                out[e.v] += per_edge[i]
-        return out
-
     def vertex_q_array(self, within: int | None = None) -> np.ndarray:
-        return self._vertex_sums(self.q, within)
+        return self.graph.vertex_sums(self.q, within)
 
     def vertex_phi_array(self, within: int | None = None) -> np.ndarray:
-        return self._vertex_sums(self.graph.weight_array * self.q, within)
+        return self.graph.vertex_sums(self.graph.weight_array * self.q, within)
 
 
 def compute_edge_stats(
@@ -133,34 +121,24 @@ def compute_edge_stats(
 
 @dataclass(eq=False)
 class FractionalMatching:
-    """Per-edge fractional values with the scaling that produced them.
+    """Per-edge fractional values on a graph.
 
     Attributes:
         graph: the underlying graph.
-        x: per-edge fractional values.
-        scale: cumulative multiplicative factor applied to each edge's
-            pre-scaling value (1.0 where untouched).
+        x: per-edge fractional values, one per edge in canonical order.
     """
 
     graph: StochasticGraph
     x: np.ndarray
-    scale: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=np.float64)
-        if self.scale is None:
-            self.scale = np.ones(self.graph.m)
-        if self.x.shape != (self.graph.m,) or self.scale.shape != (self.graph.m,):
-            raise ValueError("x and scale must have one entry per edge")
+        if self.x.shape != (self.graph.m,):
+            raise ValueError("x must have one entry per edge")
 
     def loads(self) -> np.ndarray:
         """Per-vertex totals x_v = sum of x over incident edges."""
-        out = np.zeros(self.graph.n)
-        ends = self.graph.endpoint_array
-        if self.graph.m:
-            np.add.at(out, ends[:, 0], self.x)
-            np.add.at(out, ends[:, 1], self.x)
-        return out
+        return self.graph.vertex_sums(self.x)
 
     def total_value(self) -> float:
         """Sum of w_e * x_e."""
@@ -171,7 +149,7 @@ class FractionalMatching:
         return mask_from_indices(int(i) for i in np.flatnonzero(self.x))
 
     def copy(self) -> "FractionalMatching":
-        return FractionalMatching(self.graph, self.x.copy(), self.scale.copy())
+        return FractionalMatching(self.graph, self.x.copy())
 
 
 def non_crucial_procedure(
@@ -194,78 +172,60 @@ def non_crucial_procedure(
     tau = s.params.tau
     pe2 = g.p_v * g.p_v * g.p_e
     active = realized.edge_mask & s.edge_mask & non_crucial_mask
+    idx = list(iter_bits(active))
     x_t = np.zeros(g.m)
-    for i in iter_bits(active):
-        x_t[i] = min(s.f[i], 2.0 * tau) / pe2
-    scale = np.ones(g.m)
+    x_t[idx] = np.minimum(s.f[idx], 2.0 * tau) / pe2
+    denom = g.p_v * g.vertex_sums(x_t)
+    factors = np.full(g.n, np.inf)
+    constrained = denom > 0.0
     qn = stats.vertex_q_array(within=non_crucial_mask)
-    for v in range(g.n):
-        idx = g.incident[v]
-        denom = g.p_v * math.fsum(x_t[i] for i in idx)
-        if denom <= 0.0:
-            continue
-        factor = max(qn[v], eps) / denom
-        for i in idx:
-            if factor < scale[i]:
-                scale[i] = factor
-    return FractionalMatching(g, x_t * scale, scale)
+    factors[constrained] = np.maximum(qn[constrained], eps) / denom[constrained]
+    ends = g.endpoint_array
+    scale = np.minimum(1.0, np.minimum(factors[ends[:, 0]], factors[ends[:, 1]]))
+    return FractionalMatching(g, x_t * scale)
 
 
 def sample_crucial_matching(
     s: Sparsifier,
     g: StochasticGraph,
     crucial_mask: int,
-    rng: RngSeed | np.random.Generator | None = None,
-    realized: Realization | None = None,
+    realized: Realization,
 ) -> Matching:
-    """One crucial matching M_C: canonical matching of a realization,
+    """One crucial matching M_C: the canonical matching of ``realized``,
     intersected with the crucial edges of Q.
 
-    The realization supplying the randomness is ``realized`` when given
-    (the pipeline passes its own realization, which keeps M_C on edges
-    that actually survived this trial) and a fresh draw from ``rng``
-    otherwise.  Either way, each crucial Q edge lands in M_C with
-    probability exactly q_e, and M_C is a matching because it is a
-    subset of one.
+    The pipeline passes its own realization, which keeps M_C on edges
+    that actually survived this trial.  Each crucial Q edge lands in M_C
+    with probability exactly q_e over the draw of ``realized``, and M_C
+    is a matching because it is a subset of one.
     """
-    if realized is not None:
-        edge_mask = realized.edge_mask
-    elif rng is not None:
-        gen = rng.generator(CRUCIAL_DRAWS, 0) if isinstance(rng, RngSeed) else rng
-        _, (edge_mask,) = _sample_masks(g, gen)
-    else:
-        raise ValueError("either a realization or an rng is required")
-    base = _scoped_matcher(g).for_mask(edge_mask)
-    keep = crucial_mask & s.edge_mask & edge_mask
+    base = _scoped_matcher(g).for_mask(realized.edge_mask)
+    keep = crucial_mask & s.edge_mask & realized.edge_mask
     return matching_from_indices(g, (i for i in base.indices if keep >> i & 1))
 
 
 def _enforce_vertex_budgets(fm: FractionalMatching, fixed_mask: int) -> None:
     """Scale down non-fixed values at vertices whose total exceeds 1.
 
-    fixed_mask marks edges whose values must not change (the crucial
-    matching).  Factors are computed per vertex from the state before
-    any scaling and applied as products, so the result is independent of
-    vertex order and a second application is a no-op.
+    fixed_mask marks edges whose values must not change: the crucial
+    matching, so a vertex's fixed total is the value of its one fixed
+    edge, if any.  A vertex over budget scales its free total down to
+    what the fixed value leaves, and each free edge takes the product of
+    its endpoints' factors.  Factors are computed from the state before
+    any scaling, so the result is independent of vertex order and a
+    second application is a no-op.
     """
     g = fm.graph
     loads = fm.loads()
+    fixed = g.vertex_sums(fm.x, fixed_mask)
+    free = loads - fixed
     factors = np.ones(g.n)
-    for v in range(g.n):
-        if loads[v] <= 1.0:
-            continue
-        fixed_v = math.fsum(fm.x[i] for i in g.incident[v] if fixed_mask >> i & 1)
-        free_v = loads[v] - fixed_v
-        if free_v <= 0.0:
-            continue
-        factors[v] = max(0.0, 1.0 - fixed_v) / free_v
-    for i, e in enumerate(g.edges):
-        if fixed_mask >> i & 1:
-            continue
-        f = factors[e.u] * factors[e.v]
-        if f != 1.0:
-            fm.x[i] *= f
-            fm.scale[i] *= f
+    over = (loads > 1.0) & (free > 0.0)
+    factors[over] = np.maximum(0.0, 1.0 - fixed[over]) / free[over]
+    ends = g.endpoint_array
+    edge_factors = factors[ends[:, 0]] * factors[ends[:, 1]]
+    edge_factors[list(iter_bits(fixed_mask))] = 1.0
+    fm.x *= edge_factors
 
 
 def crucial_procedure_unweighted(
@@ -286,7 +246,6 @@ def crucial_procedure_unweighted(
     for i in m_c.indices:
         e = out.graph.edges[i]
         out.x[i] = (1.0 - epsilon) * min(1.0 - qn[e.u], 1.0 - qn[e.v])
-        out.scale[i] = 1.0
     _enforce_vertex_budgets(out, mask_from_indices(m_c.indices))
     return out
 
@@ -363,21 +322,16 @@ def _endpoint_keep(q: float, phi: float, alpha: float) -> float:
     return min(q, 1.0 - alpha) / q * phi
 
 
-def _best_alpha(
-    q_u: float, q_v: float, phi_u: float, phi_v: float, w: float, grid: int
-) -> float:
+def _best_alpha(q_u: float, q_v: float, phi_u: float, phi_v: float, w: float) -> float:
     """Maximizer of h(a) = keep_u(a) + keep_v(a) + a*w over [0, 1].
 
-    h is piecewise linear with breakpoints {0, 1-q_u, 1-q_v, 1}, so the
-    true maximum sits on a breakpoint; a uniform grid is evaluated as
-    well as a safety net.  Ties pick the smallest alpha.
+    h is piecewise linear with breakpoints {0, 1-q_u, 1-q_v, 1} (each
+    clipped to [0, 1]), so a maximum sits on a breakpoint and only the
+    breakpoints are evaluated.  Ties pick the smallest alpha.
     """
-    if grid < 2:
-        raise ValueError(f"alpha grid needs at least 2 points, got {grid}")
     cands = {0.0, 1.0}
     for q in (q_u, q_v):
         cands.add(min(1.0, max(0.0, 1.0 - q)))
-    cands.update(j / (grid - 1) for j in range(grid))
     best_a = 0.0
     best_h = -math.inf
     for a in sorted(cands):
@@ -394,7 +348,6 @@ def crucial_procedure_weighted(
     stats: EdgeStats,
     non_crucial_mask: int,
     epsilon: float,
-    alpha_grid: int = 1001,
 ) -> FractionalMatching:
     """Assign crucial values for weighted graphs.
 
@@ -410,9 +363,8 @@ def crucial_procedure_weighted(
     phin = stats.vertex_phi_array(within=non_crucial_mask)
     for i in m_c.indices:
         e = g.edges[i]
-        alpha = _best_alpha(qn[e.u], qn[e.v], phin[e.u], phin[e.v], e.weight, alpha_grid)
+        alpha = _best_alpha(qn[e.u], qn[e.v], phin[e.u], phin[e.v], e.weight)
         out.x[i] = (1.0 - epsilon) * alpha
-        out.scale[i] = 1.0
     _enforce_vertex_budgets(out, mask_from_indices(m_c.indices))
     return out
 
@@ -431,7 +383,6 @@ def check_blossom_constraints(
     epsilon: float,
     tolerance: float = 1e-9,
     bound_scale: float = 1.0,
-    max_subset_size: int = MAX_ODD_SET_SIZE,
 ) -> list[BlossomViolation]:
     """Exhaustively check sum of x over E(U) <= bound_scale * floor(|U|/2).
 
@@ -442,16 +393,16 @@ def check_blossom_constraints(
 
     Raises:
         BudgetExceededError: when min(n, floor(1/epsilon)) exceeds
-            ``max_subset_size``; the scan is exponential in it.
+            ``MAX_ODD_SET_SIZE``; the scan is exponential in it.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     g = fm.graph
     cap = min(int(math.floor(1.0 / epsilon + 1e-12)), g.n)
-    if cap > max_subset_size:
+    if cap > MAX_ODD_SET_SIZE:
         raise BudgetExceededError(
             f"odd-set checks up to size min(n, floor(1/epsilon)) = {cap} exceed the "
-            f"subset-size budget of {max_subset_size}"
+            f"subset-size budget of {MAX_ODD_SET_SIZE}"
         )
     support = [(i, g.edges[i].u, g.edges[i].v) for i in np.flatnonzero(fm.x)]
     violations = []

@@ -196,6 +196,25 @@ class StochasticGraph:
             u, v = v, u
         return self._index_by_pair[(u, v)]
 
+    def vertex_sums(self, per_edge: np.ndarray, within: int | None = None) -> np.ndarray:
+        """Per vertex, the sum of ``per_edge`` over incident edges.
+
+        ``within`` is an edge bitmask that restricts the sum (all edges
+        when None).  Each vertex total is a plain float sum taken in
+        canonical edge order, starting from 0.0; a fixed order makes the
+        totals, and every budget and cap derived from them, bit-for-bit
+        reproducible.
+        """
+        ends, vals = self.endpoint_array, np.asarray(per_edge, dtype=np.float64)
+        if within is not None:
+            m = self.m
+            raw = (within & self.all_edges_mask).to_bytes((m + 7) // 8, "little")
+            bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=m, bitorder="little")
+            keep = bits.astype(bool)
+            ends, vals = ends[keep], vals[keep]
+        sums = np.bincount(ends.ravel(), weights=np.repeat(vals, 2), minlength=self.n)
+        return sums.astype(np.float64, copy=False)  # bincount of no edges gives ints
+
     def triples(self) -> list[tuple[int, int, float]]:
         """Plain ``(u, v, weight)`` list in canonical order."""
         return [(e.u, e.v, e.weight) for e in self.edges]

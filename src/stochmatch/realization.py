@@ -39,7 +39,6 @@ __all__ = [
     "ENUMERATION_BUDGET_BITS",
     "SPARSIFIER_DRAWS",
     "EXPERIMENT_DRAWS",
-    "CRUCIAL_DRAWS",
     "ESTIMATOR_DRAWS",
     "GENERATOR_DRAWS",
 ]
@@ -52,7 +51,6 @@ ENUMERATION_BUDGET_BITS = 22
 # these names document who draws from which substream.
 SPARSIFIER_DRAWS = 1
 EXPERIMENT_DRAWS = 2
-CRUCIAL_DRAWS = 3
 ESTIMATOR_DRAWS = 4
 GENERATOR_DRAWS = 5
 

@@ -147,12 +147,8 @@ class Sparsifier:
         Each round contributes a matching, so no vertex can exceed
         degree rounds (and trivially its degree in the graph).
         """
-        deg = [0] * self.graph.n
-        for i in self.edge_indices:
-            e = self.graph.edges[i]
-            deg[e.u] += 1
-            deg[e.v] += 1
-        return max(deg, default=0)
+        deg = self.graph.vertex_sums(np.ones(self.graph.m), self.edge_mask)
+        return int(deg.max(initial=0))
 
 
 def build_sparsifier(

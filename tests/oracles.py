@@ -6,8 +6,9 @@ enumeration over edges for matchings, full outcome enumeration for
 expectations, full edge rescans for degree-constrained subgraphs, and a
 memoized search over (edge position, used vertices) for canonical
 matchings.  Tests freeze values produced by these oracles (and by hand)
-and check the package against them.  The last section is the exception:
-copies of earlier package loops, kept to pin down a later rewrite.
+and check the package against them.  The last two sections are the
+exception: copies of earlier package loops, kept to pin down a later
+rewrite.
 """
 
 from __future__ import annotations
@@ -329,3 +330,99 @@ def reference_mc_edge_probabilities(g, rng, samples):
         for i in matcher.for_mask(emask).indices:
             counts[i] += 1
     return counts / float(samples)
+
+
+# -- Per-vertex sums before they were merged --------------------------------------
+# Copies of the earlier package loops that each summed over incident edges in
+# their own way (``self`` -> ``g``; the budget step returns a new x instead of
+# editing one).  They pin down ``StochasticGraph.vertex_sums`` and its callers.
+
+
+def reference_vertex_sums(g, per_edge, within=None):
+    """``EdgeStats._vertex_sums``: one pass in canonical edge order."""
+    import numpy as np
+
+    out = np.zeros(g.n)
+    for i, e in enumerate(g.edges):
+        if within is None or within >> i & 1:
+            out[e.u] += per_edge[i]
+            out[e.v] += per_edge[i]
+    return out
+
+
+def reference_loads(g, x):
+    """``FractionalMatching.loads``: every first endpoint, then every second."""
+    import numpy as np
+
+    out = np.zeros(g.n)
+    ends = g.endpoint_array
+    if g.m:
+        np.add.at(out, ends[:, 0], x)
+        np.add.at(out, ends[:, 1], x)
+    return out
+
+
+def reference_enforce_vertex_budgets(g, x, fixed_mask, loads):
+    """``_enforce_vertex_budgets`` with a per-vertex fsum and a per-edge loop.
+
+    The loop read its totals from ``FractionalMatching.loads``; they are
+    passed in here, so the budget arithmetic can be compared bit for bit
+    apart from the summation order that ``reference_loads`` covers.
+    """
+    import numpy as np
+
+    x = np.array(x, dtype=np.float64)
+    factors = np.ones(g.n)
+    for v in range(g.n):
+        if loads[v] <= 1.0:
+            continue
+        fixed_v = math.fsum(x[i] for i in g.incident[v] if fixed_mask >> i & 1)
+        free_v = loads[v] - fixed_v
+        if free_v <= 0.0:
+            continue
+        factors[v] = max(0.0, 1.0 - fixed_v) / free_v
+    for i, e in enumerate(g.edges):
+        if fixed_mask >> i & 1:
+            continue
+        f = factors[e.u] * factors[e.v]
+        if f != 1.0:
+            x[i] *= f
+    return x
+
+
+def reference_non_crucial_x(s, stats, non_crucial_mask, realized):
+    """``non_crucial_procedure``'s x: a per-vertex fsum of x~ and a
+    per-edge minimum over the endpoint factors."""
+    import numpy as np
+
+    g = s.graph
+    eps = s.params.epsilon
+    tau = s.params.tau
+    pe2 = g.p_v * g.p_v * g.p_e
+    active = realized.edge_mask & s.edge_mask & non_crucial_mask
+    x_t = np.zeros(g.m)
+    for i in range(g.m):
+        if active >> i & 1:
+            x_t[i] = min(s.f[i], 2.0 * tau) / pe2
+    scale = np.ones(g.m)
+    qn = reference_vertex_sums(g, stats.q, non_crucial_mask)
+    for v in range(g.n):
+        idx = g.incident[v]
+        denom = g.p_v * math.fsum(x_t[i] for i in idx)
+        if denom <= 0.0:
+            continue
+        factor = max(qn[v], eps) / denom
+        for i in idx:
+            if factor < scale[i]:
+                scale[i] = factor
+    return x_t * scale
+
+
+def reference_degrees(g, mask):
+    """``Sparsifier.subgraph_max_degree``'s count: per vertex, edges in ``mask``."""
+    deg = [0] * g.n
+    for i, e in enumerate(g.edges):
+        if mask >> i & 1:
+            deg[e.u] += 1
+            deg[e.v] += 1
+    return deg

@@ -95,7 +95,6 @@ def test_non_crucial_hand_case_exact_values():
     factor = max(0.25, 0.2) / (0.5 * x_tilde)
     assert fm.x[0] == pytest.approx(x_tilde * factor)
     assert fm.x[0] == pytest.approx(0.5)  # == max{q, eps}/p_v exactly
-    assert fm.scale[0] == pytest.approx(factor)
 
 
 def test_non_crucial_only_touches_realized_q_n_edges():
@@ -142,7 +141,6 @@ def test_non_crucial_respects_vertex_caps_on_random_instances():
         loads = fm.loads()
         for v in range(n):
             assert loads[v] <= max(qn[v], eps) / p_v + 1e-9
-        assert (fm.scale <= 1.0 + 1e-12).all()
 
 
 def test_non_crucial_mass_keeps_most_of_phi():
@@ -195,27 +193,19 @@ def test_crucial_matching_is_coupled_intersection():
 
 
 def test_crucial_matching_marginal_is_q():
-    # Single crucial edge with q = p_v^2 p_e = 0.125; fresh draws.
+    # Single crucial edge with q = p_v^2 p_e = 0.125; a fresh realization
+    # per trial.
     g = StochasticGraph(2, [(0, 1)], p_v=0.5, p_e=0.5)
     s = Sparsifier(g, manual_params(0.2, 4, 0.1), np.array([4], dtype=np.int64))
     gen = RngSeed(64).generator(purpose=3, index=0)
     trials = 50000
     hits = sum(
-        bool(sample_crucial_matching(s, g, 0b1, rng=gen).indices) for _ in range(trials)
+        bool(sample_crucial_matching(s, g, 0b1, sample_realization(g, gen)).indices)
+        for _ in range(trials)
     )
     q = 0.125
     sd = math.sqrt(q * (1 - q) / trials)
     assert abs(hits / trials - q) < 3 * sd
-
-
-def test_crucial_matching_fresh_draw_is_deterministic_from_seed():
-    g = StochasticGraph(3, [(0, 1), (1, 2)], p_v=0.6, p_e=0.6)
-    s = Sparsifier(g, manual_params(0.2, 4, 0.1), np.array([4, 4], dtype=np.int64))
-    a = sample_crucial_matching(s, g, 0b11, rng=RngSeed(3))
-    b = sample_crucial_matching(s, g, 0b11, rng=RngSeed(3))
-    assert a.indices == b.indices
-    with pytest.raises(ValueError):
-        sample_crucial_matching(s, g, 0b11)  # neither realization nor rng
 
 
 def test_crucial_matching_excludes_non_q_and_non_crucial_edges():
@@ -412,23 +402,23 @@ def grid_max_h(q_u, q_v, phi_u, phi_v, w, points=100001):
 
 
 def test_best_alpha_heavy_edge_takes_everything():
-    assert _best_alpha(0.5, 0.5, 0.2, 0.2, 10.0, 1001) == 1.0
+    assert _best_alpha(0.5, 0.5, 0.2, 0.2, 10.0) == 1.0
 
 
 def test_best_alpha_worthless_edge_takes_nothing():
-    assert _best_alpha(0.5, 0.5, 0.4, 0.4, 0.0, 1001) == 0.0
+    assert _best_alpha(0.5, 0.5, 0.4, 0.4, 0.0) == 0.0
 
 
 def test_best_alpha_tie_picks_smallest_on_plateau():
     # w = 0 makes h flat on [0, 1-q] and falling after; every plateau
     # point evaluates to exactly the same float, so the tie rule decides
-    assert _best_alpha(0.5, 0.5, 0.25, 0.25, 0.0, 1001) == 0.0
+    assert _best_alpha(0.5, 0.5, 0.25, 0.25, 0.0) == 0.0
 
 
 def test_best_alpha_interior_breakpoint_maximum():
     # small positive w tilts the plateau up toward the breakpoint 1 - q,
     # and beyond it the keep terms fall faster than w climbs
-    assert _best_alpha(0.5, 0.5, 0.4, 0.4, 0.1, 1001) == 0.5
+    assert _best_alpha(0.5, 0.5, 0.4, 0.4, 0.1) == 0.5
 
 
 def test_best_alpha_beats_fine_grid():
@@ -437,7 +427,7 @@ def test_best_alpha_beats_fine_grid():
         q_u, q_v = rng.uniform(0, 1), rng.uniform(0, 1)
         phi_u, phi_v = rng.uniform(0, 1), rng.uniform(0, 1)
         w = rng.uniform(0, 3)
-        a = _best_alpha(q_u, q_v, phi_u, phi_v, w, 1001)
+        a = _best_alpha(q_u, q_v, phi_u, phi_v, w)
         h = _endpoint_keep(q_u, phi_u, a) + _endpoint_keep(q_v, phi_v, a) + a * w
         assert h >= grid_max_h(q_u, q_v, phi_u, phi_v, w, 2001) - 1e-12
 
@@ -449,8 +439,8 @@ def test_best_alpha_lands_on_breakpoints():
         q_u, q_v = rng.uniform(0.05, 1), rng.uniform(0.05, 1)
         phi_u, phi_v = rng.uniform(0, 1), rng.uniform(0, 1)
         w = rng.uniform(0, 2)
-        a = _best_alpha(q_u, q_v, phi_u, phi_v, w, 3)  # nearly grid-free
-        breaks = {0.0, 1.0, min(1.0, max(0.0, 1 - q_u)), min(1.0, max(0.0, 1 - q_v)), 0.5}
+        a = _best_alpha(q_u, q_v, phi_u, phi_v, w)
+        breaks = {0.0, 1.0, min(1.0, max(0.0, 1 - q_u)), min(1.0, max(0.0, 1 - q_v))}
         assert any(abs(a - b) < 1e-12 for b in breaks)
 
 
@@ -469,7 +459,6 @@ def test_weighted_procedure_zeroes_neighbors_at_eps_zero():
     out = crucial_procedure_weighted(x0, m_c, stats, 0b10, epsilon=0.0)
     assert out.x[0] == 1.0
     assert out.x[1] == 0.0  # whole budget consumed: neighbor mass vanishes
-    assert out.scale[1] == 0.0
 
 
 def test_weighted_stage_keeps_loads_bounded_on_random_instances():
