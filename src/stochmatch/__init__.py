@@ -14,7 +14,6 @@ from .edcs import (
     build_edcs,
     compute_beta,
     edcs_matching_ratio,
-    edcs_stochastic_ratio,
     verify_edcs,
 )
 from .errors import BudgetExceededError, GraphFormatError
@@ -22,8 +21,7 @@ from .estimator import (
     Estimate,
     ExhaustiveOracle,
     approximation_ratio,
-    expected_matching_exact,
-    expected_matching_mc,
+    expected_matching,
 )
 from .experiment import (
     ExperimentConfig,
@@ -100,8 +98,7 @@ __all__ = [
     "classify_edges",
     "Estimate",
     "ExhaustiveOracle",
-    "expected_matching_exact",
-    "expected_matching_mc",
+    "expected_matching",
     "approximation_ratio",
     "EdgeStats",
     "FractionalMatching",
@@ -120,7 +117,6 @@ __all__ = [
     "build_edcs",
     "verify_edcs",
     "edcs_matching_ratio",
-    "edcs_stochastic_ratio",
     "GeneratorSpec",
     "generate_graph",
     "parse_generator",

@@ -23,13 +23,7 @@ import numpy as np
 
 from .edcs import EdcsParams, EdcsSubgraph, build_edcs, compute_beta, verify_edcs
 from .errors import BudgetExceededError, GraphFormatError
-from .estimator import (
-    ExhaustiveOracle,
-    _resolve_mode,
-    approximation_ratio,
-    expected_matching_exact,
-    expected_matching_mc,
-)
+from .estimator import ExhaustiveOracle, approximation_ratio, expected_matching
 from .experiment import DEFAULT_R_CAP, ExperimentConfig, run_experiment
 from .generators import generate_graph, parse_generator, parse_weights
 from .graph import StochasticGraph
@@ -144,18 +138,17 @@ def _cmd_edcs(args: argparse.Namespace) -> int:
 @_per_call_scope()
 def _cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    mode = _resolve_mode(g, args.mode, args.budget_bits)
     restrict = None
     if args.restrict:
         artifact = load_json(args.restrict)
         if "edges" not in artifact:
             raise ValueError(f"{args.restrict} has no edge list to restrict to")
         restrict = _mask_from_pairs(g, artifact["edges"])
-    rng = RngSeed(args.seed)
-    if mode == "exact":
-        est = expected_matching_exact(g, restrict, args.budget_bits)
-    else:
-        est = expected_matching_mc(g, rng, args.samples, restrict, args.confidence)
+    how = dict(
+        mode=args.mode, rng=RngSeed(args.seed), samples=args.samples,
+        confidence=args.confidence, budget_bits=args.budget_bits,
+    )
+    est = expected_matching(g, restrict, **how)
     print(f"mode: {est.mode}")
     print(f"expected value: {repr(est.value)} +- {repr(est.ci)}")
     result = {
@@ -166,13 +159,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "ci": est.ci,
         "samples": est.samples,
         "confidence": est.confidence,
+        "seed": args.seed,
         "budget_bits": args.budget_bits,
     }
     if restrict is not None:
-        ratio = approximation_ratio(
-            g, restrict, mode=mode, rng=rng, samples=args.samples,
-            confidence=args.confidence, budget_bits=args.budget_bits,
-        )
+        ratio = approximation_ratio(g, restrict, **how)
         print(f"ratio vs full graph: {repr(ratio.value)} +- {repr(ratio.ci)}")
         result["restrict"] = args.restrict
         result["restrict_edges"] = _edge_pairs(g, restrict)
@@ -268,22 +259,32 @@ def _check_oracle(artifact: dict) -> list[str]:
 
 
 def _check_estimate(artifact: dict) -> list[str]:
-    if artifact["mode"] != "exact":
-        return []
+    """Re-derive value and ci (ratio and ratio_ci when a restriction is
+    recorded) with the recorded mode, seed, samples, confidence and
+    budget; a missing seed or budget takes the command's default."""
     g = graph_from_json(artifact["graph"])
     restrict = None
     if "restrict_edges" in artifact:
         restrict = _mask_from_pairs(g, artifact["restrict_edges"])
-    budget_bits = artifact.get("budget_bits", ENUMERATION_BUDGET_BITS)
-    problems = []
-    value = expected_matching_exact(g, restrict, budget_bits).value
-    if abs(artifact["value"] - value) > 1e-12:
-        problems.append(f"value recorded {artifact['value']!r}, recomputed {value!r}")
+    seed = artifact.get("seed", 0)
+    how = dict(
+        mode={"monte-carlo": "mc"}.get(artifact["mode"], artifact["mode"]),
+        rng=RngSeed(seed),
+        samples=artifact["samples"],
+        confidence=artifact["confidence"],
+        budget_bits=artifact.get("budget_bits", ENUMERATION_BUDGET_BITS),
+    )
+    est = expected_matching(g, restrict, **how)
+    recomputed = {"value": est.value, "ci": est.ci}
     if restrict is not None:
-        ratio = approximation_ratio(g, restrict, mode="exact", budget_bits=budget_bits).value
-        if abs(artifact["ratio"] - ratio) > 1e-12:
-            problems.append(f"ratio recorded {artifact['ratio']!r}, recomputed {ratio!r}")
-    return problems
+        ratio = approximation_ratio(g, restrict, **how)
+        recomputed.update(ratio=ratio.value, ratio_ci=ratio.ci)
+    with_seed = f" with seed {seed}" if est.mode == "monte-carlo" else ""
+    return [
+        f"{key} recorded {artifact[key]!r}, recomputed {value!r}{with_seed}"
+        for key, value in recomputed.items()
+        if abs(artifact[key] - value) > 1e-12
+    ]
 
 
 @_per_call_scope()

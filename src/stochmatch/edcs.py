@@ -42,10 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import Estimate, approximation_ratio
 from .graph import StochasticGraph, indices_from_mask, mask_from_indices
 from .matching import _scoped_matcher
-from .realization import ENUMERATION_BUDGET_BITS, RngSeed
 
 __all__ = [
     "EdcsParams",
@@ -54,7 +52,6 @@ __all__ = [
     "build_edcs",
     "verify_edcs",
     "edcs_matching_ratio",
-    "edcs_stochastic_ratio",
 ]
 
 
@@ -219,45 +216,15 @@ def verify_edcs(g: StochasticGraph, h: EdcsSubgraph) -> list[tuple[str, int, int
     ]
 
 
-def edcs_matching_ratio(
-    g: StochasticGraph,
-    params: EdcsParams | None = None,
-    h: EdcsSubgraph | None = None,
-) -> float:
+def edcs_matching_ratio(g: StochasticGraph, h: EdcsSubgraph) -> float:
     """mu(H) / mu(G) on the deterministic graph (no realization).
 
-    Builds H from ``params`` unless a prebuilt subgraph is given.  An
-    empty graph (mu(G) = 0) reports 1.0.
+    An empty graph (mu(G) = 0) reports 1.0.  The stochastic ratio
+    E[mu(realization restricted to H)] / E[mu(realization)] is
+    ``approximation_ratio(g, h.edge_mask, ...)``.
     """
-    if h is None:
-        if params is None:
-            raise ValueError("either params or a prebuilt subgraph is required")
-        h = build_edcs(g, params)
     matcher = _scoped_matcher(g)
     full = matcher.value_for_mask(None)
     if full == 0.0:
         return 1.0
     return matcher.value_for_mask(h.edge_mask) / full
-
-
-def edcs_stochastic_ratio(
-    g: StochasticGraph,
-    params: EdcsParams | None = None,
-    h: EdcsSubgraph | None = None,
-    mode: str = "auto",
-    rng: RngSeed | None = None,
-    samples: int = 100_000,
-    budget_bits: int = ENUMERATION_BUDGET_BITS,
-) -> Estimate:
-    """E[mu(realization restricted to H)] / E[mu(realization)].
-
-    Builds H from ``params`` unless given; the ratio machinery is shared
-    with the sparsifier evaluation.
-    """
-    if h is None:
-        if params is None:
-            raise ValueError("either params or a prebuilt subgraph is required")
-        h = build_edcs(g, params)
-    return approximation_ratio(
-        g, h.edge_mask, mode=mode, rng=rng, samples=samples, budget_bits=budget_bits
-    )

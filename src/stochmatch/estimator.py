@@ -1,5 +1,11 @@
 """Exact and Monte Carlo estimates over one list of realization outcomes.
 
+One call per estimated quantity, each choosing how with ``mode=``:
+:func:`expected_matching` for E[mu], :func:`approximation_ratio` for
+E[mu restricted] / E[mu], and ``fractional.compute_edge_stats`` for the
+per-edge q.  ``_resolve_mode`` maps "auto" to a mode, and ``_outcomes``
+checks Monte Carlo inputs before anything is drawn.
+
 Both modes yield (surviving edge mask, weight) outcomes and a divisor.
 Exact takes each edge set's probability from
 :func:`~stochmatch.realization.edge_mask_distribution` (the matching
@@ -7,10 +13,9 @@ depends on nothing else) in ascending mask order, divisor 1.0; Monte
 Carlo takes one ``realization._sample_masks`` batch, weight 1.0 each,
 divisor the sample count.  One reducer sums weight * matching value, the
 other sums per edge the weights of the outcomes whose matching holds it;
-both divide a math.fsum, so the outcome order changes nothing.  Monte
-Carlo intervals are Hoeffding over the observed value range, exactly 0
-when p_v = p_e = 1.  ``_resolve_mode`` maps "auto" to a mode, and
-``_outcomes`` checks Monte Carlo inputs before anything is drawn.
+both divide a math.fsum, so the outcome order changes nothing.  Every
+Monte Carlo interval comes from one helper, ``_halfwidth``: Hoeffding
+over the observed value range, exactly 0 when p_v = p_e = 1.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from .realization import (
 __all__ = [
     "Estimate",
     "ExhaustiveOracle",
-    "expected_matching_exact",
-    "expected_matching_mc",
+    "expected_matching",
     "approximation_ratio",
 ]
 
@@ -158,43 +162,45 @@ def _outcomes(
     return CanonicalMatcher(g), [(emask, 1.0) for emask in emasks], float(samples)
 
 
-def expected_matching_exact(
+def _halfwidth(values: list[float], samples: int, confidence: float) -> float:
+    """Hoeffding halfwidth over the observed range of ``values``:
+    (max - min) * sqrt(ln(2/(1-confidence)) / (2*samples))."""
+    scale = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
+    return (max(values) - min(values)) * scale
+
+
+def expected_matching(
     g: StochasticGraph,
     restrict_to: int | None = None,
+    mode: str = "auto",
+    rng: RngSeed | np.random.Generator | None = None,
+    samples: int = 100_000,
+    confidence: float = 0.99,
     budget_bits: int = ENUMERATION_BUDGET_BITS,
 ) -> Estimate:
-    """Exact E[max-matching value of a realization].
+    """E[max-matching value of a realization], exact or by Monte Carlo.
 
     Args:
         restrict_to: optional edge bitmask; surviving edges outside it
             are discarded before matching.
+        mode: "exact", "mc", or "auto" (exact when the graph fits the
+            enumeration budget, Monte Carlo otherwise).
+        rng: required for Monte Carlo; an RngSeed (substream
+            ``(ESTIMATOR_DRAWS, 0)``, shared with
+            :func:`approximation_ratio`) or a numpy Generator.  Samples
+            are drawn in a fixed order, so a given RngSeed always
+            reproduces the estimate bit for bit.
 
     Raises:
-        BudgetExceededError: when n + m exceeds budget_bits.
+        BudgetExceededError: in exact mode, when n + m exceeds budget_bits.
     """
-    return Estimate(ExhaustiveOracle(g, budget_bits).expected_value(restrict_to), 0.0, "exact")
-
-
-def expected_matching_mc(
-    g: StochasticGraph,
-    rng: RngSeed | np.random.Generator,
-    samples: int,
-    restrict_to: int | None = None,
-    confidence: float = 0.99,
-) -> Estimate:
-    """Monte Carlo E[max-matching value of a realization].
-
-    The halfwidth is Hoeffding over the observed value range:
-    (max - min) * sqrt(ln(2/(1-confidence)) / (2*samples)).  Samples are
-    drawn from one substream in a fixed order, so a given RngSeed always
-    reproduces the estimate bit for bit.
-    """
-    matcher, outcomes, divisor = _outcomes(
-        g, "mc", rng, samples, ENUMERATION_BUDGET_BITS, 0, confidence
-    )
+    mode = _resolve_mode(g, mode, budget_bits)
+    matcher, outcomes, divisor = _outcomes(g, mode, rng, samples, budget_bits, 0, confidence)
     mean, values = _mean_value(matcher, outcomes, divisor, restrict_to)
-    scale = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
-    return Estimate(mean, (max(values) - min(values)) * scale, "monte-carlo", samples, confidence)
+    if mode == "exact":
+        return Estimate(mean, 0.0, "exact")
+    half = _halfwidth(values, samples, confidence)
+    return Estimate(mean, half, "monte-carlo", samples, confidence)
 
 
 def approximation_ratio(
@@ -226,9 +232,8 @@ def approximation_ratio(
         return Estimate(num / den if den != 0.0 else 1.0, 0.0, "exact")
     if den == 0.0:
         return Estimate(1.0, 0.0, "monte-carlo", samples, confidence)
-    scale = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
-    half_num = (max(num_values) - min(num_values)) * scale
-    half_den = (max(den_values) - min(den_values)) * scale
+    half_num = _halfwidth(num_values, samples, confidence)
+    half_den = _halfwidth(den_values, samples, confidence)
     ratio = num / den
     # First-order propagation; conservative for the desk-scale ranges here.
     half = (half_num + abs(ratio) * half_den) / den

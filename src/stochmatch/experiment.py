@@ -195,13 +195,18 @@ class ExperimentConfig:
         if (self.graph_file is None) == (self.generator is None):
             raise ValueError("exactly one of graph_file and generator is required")
         for name in ("epsilon", "p_v", "p_e"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} list must not be empty")
+            values = getattr(self, name)
+            if not isinstance(values, list) or not values or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
+            ):
+                raise ValueError(f"{name} must be a non-empty list of numbers, got {values!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

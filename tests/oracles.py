@@ -265,7 +265,7 @@ def reference_oracle_edge_probabilities(oracle, restrict_to=None):
     return np.array([math.fsum(t) for t in per_edge], dtype=np.float64)
 
 
-def reference_expected_matching_mc(g, rng, samples, restrict_to=None, confidence=0.99):
+def reference_mc_expected_value(g, rng, samples, restrict_to=None, confidence=0.99):
     """(value, ci) of the Monte Carlo value loop."""
     from stochmatch.matching import CanonicalMatcher
     from stochmatch.realization import ESTIMATOR_DRAWS, RngSeed, _sample_masks

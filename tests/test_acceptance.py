@@ -22,10 +22,9 @@ from stochmatch.edcs import (
     build_edcs,
     compute_beta,
     edcs_matching_ratio,
-    edcs_stochastic_ratio,
     verify_edcs,
 )
-from stochmatch.estimator import approximation_ratio, expected_matching_exact
+from stochmatch.estimator import approximation_ratio, expected_matching
 from stochmatch.experiment import ExperimentConfig, run_experiment, run_fractional_pipeline
 from stochmatch.fractional import check_blossom_constraints
 from stochmatch.graph import StochasticGraph
@@ -67,7 +66,7 @@ def test_criterion_01_oracle_identity():
         q = oracle_edge_match_probabilities(
             n, [(e.u, e.v, e.weight) for e in g.edges], p_v, p_e
         )
-        lhs = expected_matching_exact(g).value
+        lhs = expected_matching(g, mode="exact").value
         rhs = math.fsum(e.weight * qi for e, qi in zip(g.edges, q))
         worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-12
@@ -96,8 +95,9 @@ def test_criterion_03_degenerate_probabilities_lossless():
         g = g.with_probabilities(1.0, 1.0)
         s = build_sparsifier(g, compute_params(0.2, 1.0, 1.0, r_cap=50), RngSeed(i))
         ok = ok and approximation_ratio(g, s.edge_mask, mode="exact").value == 1.0
-        ok = ok and edcs_matching_ratio(g, compute_beta(0.3, 1.0, 1.0)) == 1.0
-        ok = ok and edcs_stochastic_ratio(g, compute_beta(0.3, 1.0, 1.0), mode="exact").value == 1.0
+        h = build_edcs(g, compute_beta(0.3, 1.0, 1.0))
+        ok = ok and edcs_matching_ratio(g, h) == 1.0
+        ok = ok and approximation_ratio(g, h.edge_mask, mode="exact").value == 1.0
     report(3, "lossless at p = 1", ok)
     assert ok
 
@@ -170,12 +170,12 @@ def test_criterion_08_edcs_certification_and_two_thirds():
     beta = math.ceil(8.0 * lam**-2 * math.log(1.0 / lam))
     params = EdcsParams(beta, math.ceil((1.0 - lam) * beta), eps)
     for g in instance_pool(80, 12, weighted=False):
-        ok = ok and edcs_matching_ratio(g, params) >= 2.0 / 3.0 - eps
+        ok = ok and edcs_matching_ratio(g, build_edcs(g, params)) >= 2.0 / 3.0 - eps
     report(8, "bounded-degree subgraph certification and 2/3 floor", ok)
     assert ok
 
 
-def test_criterion_09_edcs_stochastic_ratio():
+def test_criterion_09_stochastic_subgraph_ratio():
     graphs = [
         StochasticGraph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)]),
         StochasticGraph(6, [(0, 1), (0, 3), (1, 2), (2, 3), (2, 5), (3, 4), (4, 5)]),
@@ -185,10 +185,12 @@ def test_criterion_09_edcs_stochastic_ratio():
         for p_v in (0.5, 0.8, 1.0):
             for p_e in (0.5, 0.8, 1.0):
                 g = g0.with_probabilities(p_v, p_e)
-                est = edcs_stochastic_ratio(g, compute_beta(0.3, p_v, p_e), mode="exact")
+                h = build_edcs(g, compute_beta(0.3, p_v, p_e))
+                est = approximation_ratio(g, h.edge_mask, mode="exact")
                 ok = ok and est.value >= 0.6
                 # desk-scale degree bounds, reported but not gated
-                small = edcs_stochastic_ratio(g, EdcsParams(4, 3, 0.25), mode="exact")
+                small_h = build_edcs(g, EdcsParams(4, 3, 0.25))
+                small = approximation_ratio(g, small_h.edge_mask, mode="exact")
                 print(
                     f"  n={g.n} m={g.m} p_v={p_v} p_e={p_e}: "
                     f"ratio {est.value!r}, beta=4 ratio {small.value!r}"

@@ -14,7 +14,6 @@ from stochmatch.edcs import (
     build_edcs,
     compute_beta,
     edcs_matching_ratio,
-    edcs_stochastic_ratio,
     verify_edcs,
 )
 from stochmatch.estimator import approximation_ratio
@@ -131,7 +130,7 @@ def test_large_beta_keeps_every_edge():
     h = build_edcs(g, EdcsParams(100, 99, 0.25))
     assert h.edge_mask == g.all_edges_mask
     assert h.fixups == g.m
-    assert edcs_matching_ratio(g, h=h) == 1.0
+    assert edcs_matching_ratio(g, h) == 1.0
 
 
 def test_fixup_cap_raises():
@@ -248,7 +247,7 @@ def test_matching_ratio_floor_on_sweep():
     for _ in range(200):
         g = random_graph(rng)
         beta = rng.choice([3, 4, 5, 7])
-        r = edcs_matching_ratio(g, EdcsParams(beta, beta - 1, 0.25))
+        r = edcs_matching_ratio(g, build_edcs(g, EdcsParams(beta, beta - 1, 0.25)))
         assert r <= 1.0 + 1e-12
         worst = min(worst, r)
     assert worst >= 2.0 / 3.0 - 1e-12
@@ -256,31 +255,13 @@ def test_matching_ratio_floor_on_sweep():
 
 def test_matching_ratio_edgeless_graph_is_one():
     g = StochasticGraph(4, [])
-    assert edcs_matching_ratio(g, EdcsParams(3, 2, 0.25)) == 1.0
-
-
-def test_ratio_helpers_require_params_or_subgraph():
-    g = StochasticGraph(3, [(0, 1), (0, 2), (1, 2)])
-    with pytest.raises(ValueError):
-        edcs_matching_ratio(g)
-    with pytest.raises(ValueError):
-        edcs_stochastic_ratio(g)
+    assert edcs_matching_ratio(g, build_edcs(g, EdcsParams(3, 2, 0.25))) == 1.0
 
 
 def test_stochastic_ratio_full_subgraph_is_exactly_one():
     g = StochasticGraph(4, [(0, 1), (1, 2), (2, 3)], p_v=0.8, p_e=0.7)
     h = build_edcs(g, EdcsParams(100, 99, 0.25))
-    est = edcs_stochastic_ratio(g, h=h, mode="exact")
+    est = approximation_ratio(g, h.edge_mask, mode="exact")
     assert est.value == 1.0
     assert est.ci == 0.0
     assert est.mode == "exact"
-
-
-def test_stochastic_ratio_matches_direct_restriction():
-    g = StochasticGraph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], p_v=0.6, p_e=0.9)
-    h = build_edcs(g, EdcsParams(3, 2, 0.25))
-    assert h.edge_mask != g.all_edges_mask
-    est = edcs_stochastic_ratio(g, h=h, mode="exact")
-    direct = approximation_ratio(g, h.edge_mask, mode="exact")
-    assert est.value == direct.value
-    assert est.ci == direct.ci == 0.0

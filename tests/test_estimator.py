@@ -10,10 +10,10 @@ import pytest
 
 from stochmatch.errors import BudgetExceededError
 from stochmatch.estimator import (
+    Estimate,
     ExhaustiveOracle,
     approximation_ratio,
-    expected_matching_exact,
-    expected_matching_mc,
+    expected_matching,
 )
 from stochmatch.experiment import run_fractional_pipeline
 from stochmatch.fractional import compute_edge_stats
@@ -26,7 +26,7 @@ from oracles import (
     oracle_expected_value,
     random_test_graph,
     reference_approximation_ratio,
-    reference_expected_matching_mc,
+    reference_mc_expected_value,
     reference_mc_edge_probabilities,
     reference_oracle_edge_probabilities,
     reference_oracle_expected_value,
@@ -40,7 +40,7 @@ def test_exact_value_matches_oracle_on_random_graphs():
         p_v, p_e = rng.choice([0.3, 0.5, 0.8, 1.0]), rng.choice([0.4, 0.7, 1.0])
         g = StochasticGraph(n, edges, p_v=p_v, p_e=p_e, weighted=True)
         expect = oracle_expected_value(n, edges, p_v, p_e)
-        assert expected_matching_exact(g).value == pytest.approx(expect, abs=1e-12)
+        assert expected_matching(g, mode="exact").value == pytest.approx(expect, abs=1e-12)
 
 
 def test_edge_probabilities_match_oracle():
@@ -75,7 +75,7 @@ def test_restriction_equals_subgraph_expectation():
             continue
         g = StochasticGraph(n, edges, p_v=0.7, p_e=0.5, weighted=True)
         keep = sorted(rng.sample(range(len(edges)), rng.randint(0, len(edges))))
-        got = expected_matching_exact(g, restrict_to=mask_from_indices(keep)).value
+        got = expected_matching(g, mask_from_indices(keep), mode="exact").value
         expect = oracle_expected_value(n, edges, 0.7, 0.5, keep=set(keep))
         assert got == pytest.approx(expect, abs=1e-12)
 
@@ -83,18 +83,18 @@ def test_restriction_equals_subgraph_expectation():
 def test_deterministic_graph_is_exact_in_both_modes():
     g = StochasticGraph(4, [(0, 1, 3.0), (1, 2, 1.0), (2, 3, 2.0)], weighted=True)
     best = max_weight_matching(g).total_weight
-    exact = expected_matching_exact(g)
+    exact = expected_matching(g, mode="exact")
     assert exact.value == best and exact.ci == 0.0
-    mc = expected_matching_mc(g, RngSeed(0), samples=200)
+    mc = expected_matching(g, mode="mc", rng=RngSeed(0), samples=200)
     assert mc.value == best
     assert mc.ci == 0.0  # observed range is zero at p = 1
 
 
 def test_mc_is_deterministic_and_covers_truth():
     g = StochasticGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], p_v=0.7, p_e=0.8)
-    truth = expected_matching_exact(g).value
-    a = expected_matching_mc(g, RngSeed(42), samples=20000)
-    b = expected_matching_mc(g, RngSeed(42), samples=20000)
+    truth = expected_matching(g, mode="exact").value
+    a = expected_matching(g, mode="mc", rng=RngSeed(42), samples=20000)
+    b = expected_matching(g, mode="mc", rng=RngSeed(42), samples=20000)
     assert a == b
     # 99% interval on one fixed seed; chosen seed comfortably covers.
     assert abs(a.value - truth) <= a.ci
@@ -104,10 +104,10 @@ def test_mc_is_deterministic_and_covers_truth():
 def test_mc_interval_coverage_budget():
     # 20 independent seeds at 99% nominal: allow up to 3 misses.
     g = StochasticGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], p_v=0.6, p_e=0.6)
-    truth = expected_matching_exact(g).value
+    truth = expected_matching(g, mode="exact").value
     covered = 0
     for k in range(20):
-        est = expected_matching_mc(g, RngSeed(900 + k), samples=4000)
+        est = expected_matching(g, mode="mc", rng=RngSeed(900 + k), samples=4000)
         covered += abs(est.value - truth) <= est.ci
     assert covered >= 17
 
@@ -118,7 +118,7 @@ def test_oracle_budget_refusal():
     with pytest.raises(BudgetExceededError):
         ExhaustiveOracle(g)  # 24 + 23 bits > 22
     with pytest.raises(BudgetExceededError):
-        expected_matching_exact(g)
+        expected_matching(g, mode="exact")
 
 
 def test_ratio_exact_full_restriction_is_one():
@@ -166,9 +166,9 @@ def test_auto_mode_switches_on_budget():
 def test_mc_input_validation():
     g = StochasticGraph(2, [(0, 1)])
     with pytest.raises(ValueError):
-        expected_matching_mc(g, RngSeed(0), samples=0)
+        expected_matching(g, mode="mc", rng=RngSeed(0), samples=0)
     with pytest.raises(ValueError):
-        expected_matching_mc(g, RngSeed(0), samples=10, confidence=1.0)
+        expected_matching(g, mode="mc", rng=RngSeed(0), samples=10, confidence=1.0)
 
 
 # Each Monte Carlo entry point given one bad input: (call(g, rng), message).
@@ -193,8 +193,10 @@ _BAD_MC_INPUTS = {
         lambda g, rng: approximation_ratio(g, 1, mode="mc", rng=rng, samples=10, confidence=0.0),
         "confidence"),
     "value confidence=1.5": (
-        lambda g, rng: expected_matching_mc(g, rng, 10, confidence=1.5), "confidence"),
-    "value rng=None": (lambda g, rng: expected_matching_mc(g, None, 10), "needs an rng"),
+        lambda g, rng: expected_matching(g, mode="mc", rng=rng, samples=10, confidence=1.5),
+        "confidence"),
+    "value rng=None": (
+        lambda g, rng: expected_matching(g, mode="mc", rng=None, samples=10), "needs an rng"),
 }
 
 
@@ -250,7 +252,8 @@ def test_merged_reducers_match_the_earlier_loops_bit_for_bit():
         for r in masks:
             want = reference_oracle_expected_value(ref, r)
             assert oracle.expected_value(r).hex() == want.hex()
-            assert expected_matching_exact(g, r).value.hex() == want.hex()
+            est = expected_matching(g, r, mode="exact")
+            assert _hexes([est.value, est.ci]) == _hexes([want, 0.0])
             got_q = oracle.edge_probabilities(r)
             assert _hexes(got_q) == _hexes(reference_oracle_edge_probabilities(ref, r))
         for r in masks[1:]:
@@ -263,8 +266,8 @@ def test_merged_reducers_match_the_earlier_loops_bit_for_bit():
                 return RngSeed(k, stream=3) if seeded else np.random.default_rng(k)
 
             for r in masks:
-                est = expected_matching_mc(g, rng(), 150, r, confidence)
-                want = reference_expected_matching_mc(g, rng(), 150, r, confidence)
+                est = expected_matching(g, r, "mc", rng(), 150, confidence)
+                want = reference_mc_expected_value(g, rng(), 150, r, confidence)
                 assert _hexes([est.value, est.ci]) == _hexes(want), (k, seeded, r)
                 assert (est.mode, est.samples, est.confidence) == ("monte-carlo", 150, confidence)
             for r in masks[1:]:
@@ -274,3 +277,39 @@ def test_merged_reducers_match_the_earlier_loops_bit_for_bit():
             stats = compute_edge_stats(g, mode="mc", rng=rng(), samples=150)
             assert _hexes(stats.q) == _hexes(reference_mc_edge_probabilities(g, rng(), 150))
             assert (stats.mode, stats.samples) == ("monte-carlo", 150)
+
+
+# Each estimation entry point as call(g, mode, rng, budget_bits).
+_ESTIMATES = {
+    "expected_matching": lambda g, mode, rng, bits: expected_matching(
+        g, mode=mode, rng=rng, samples=40, budget_bits=bits),
+    "approximation_ratio": lambda g, mode, rng, bits: approximation_ratio(
+        g, 0b01, mode=mode, rng=rng, samples=40, budget_bits=bits),
+    "compute_edge_stats": lambda g, mode, rng, bits: compute_edge_stats(
+        g, mode=mode, rng=rng, samples=40, budget_bits=bits),
+}
+
+
+def _summary(result):
+    """(mode, samples, hex of value and ci, or of every q)."""
+    floats = [result.value, result.ci] if isinstance(result, Estimate) else result.q
+    return result.mode, result.samples, _hexes(floats)
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATES))
+def test_one_mode_rule_for_every_estimate(name):
+    call = _ESTIMATES[name]
+    g = StochasticGraph(3, [(0, 1), (1, 2)], p_v=0.5, p_e=0.5)
+    fits = g.n + g.m
+    auto = _summary(call(g, "auto", None, fits))
+    assert auto == _summary(call(g, "exact", None, fits))
+    assert auto[:2] == ("exact", 0)
+    if name != "compute_edge_stats":
+        assert auto[2][1] == (0.0).hex()
+    auto = _summary(call(g, "auto", RngSeed(4), fits - 1))
+    assert auto == _summary(call(g, "mc", RngSeed(4), fits - 1))
+    assert auto[:2] == ("monte-carlo", 40)
+    with pytest.raises(ValueError, match="needs an rng"):
+        call(g, "auto", None, fits - 1)
+    with pytest.raises(ValueError, match="unknown mode"):
+        call(g, "bogus", RngSeed(4), fits)

@@ -658,7 +658,7 @@ def test_fractional_matching_container_basics():
 def test_unweighted_fractional_value_ratio_floor():
     # mean total fractional value against the exact expected matching:
     # the guarantee is (1 - 2 eps)(4 sqrt(2) - 5), observed ~0.86+
-    from stochmatch.estimator import expected_matching_exact
+    from stochmatch.estimator import expected_matching
     from stochmatch.experiment import run_fractional_pipeline
 
     graphs = [
@@ -669,7 +669,7 @@ def test_unweighted_fractional_value_ratio_floor():
     floor = (1.0 - 2.0 * eps) * (4.0 * math.sqrt(2.0) - 5.0)
     runs = 40
     for g in graphs:
-        denom = expected_matching_exact(g).value
+        denom = expected_matching(g, mode="exact").value
         total = 0.0
         for t in range(runs):
             res = run_fractional_pipeline(g, eps, RngSeed(50 + t), r_cap=800, q_mode="exact")

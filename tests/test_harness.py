@@ -203,12 +203,27 @@ def test_config_rejects_bad_shapes():
         dict(ok, algorithm="greedy"),
         dict(ok, q_mode="guess"),
         dict(ok, epsilon=[]),
+        dict(ok, epsilon=0.2),
+        dict(ok, epsilon="0.2"),
+        dict(ok, p_v=[True]),
+        dict(ok, p_e=[0.5, "1"]),
         dict(ok, workers=0),
         dict(ok, graph_file="also.txt"),  # both sources
         dict(epsilon=[0.3]),  # no source
     ):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(bad)
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentConfig.from_dict([1, 2])
+
+
+def test_cli_experiment_refuses_a_scalar_sweep_value(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"generator": "path(n=4)", "epsilon": 0.2}), encoding="utf-8")
+    assert main(["experiment", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon")
+    assert "Traceback" not in err
 
 
 def test_config_round_trip_and_sweep_order():
@@ -366,6 +381,32 @@ def test_cli_check_accepts_artifacts_written_over_the_default_budget(tmp_path, c
     (tmp_path / "o.json").write_text(json.dumps(data), encoding="utf-8")
     assert main(["check", oracle]) == 1
     assert "over the budget of 2**22" in capsys.readouterr().err
+
+
+def test_cli_check_rederives_monte_carlo_estimates(tmp_path, capsys):
+    graph = ["--generator", "path(n=30)", "--p-v", "0.9", "--p-e", "0.8"]
+    sp = str(tmp_path / "sp.json")
+    est = tmp_path / "e.json"
+    assert main(["sparsify", *graph, "--epsilon", "0.3", "--r-cap", "20", "--output", sp]) == 0
+    argv = ["estimate", *graph, "--mode", "mc", "--samples", "500", "--seed", "3",
+            "--restrict", sp, "--output", str(est)]
+    assert main(argv) == 0
+    written = load_json(str(est))
+    assert (written["mode"], written["seed"], written["samples"]) == ("monte-carlo", 3, 500)
+    capsys.readouterr()
+    assert main(["check", str(est)]) == 0
+    assert "OK" in capsys.readouterr().out
+    for key in ("value", "ratio"):
+        data = dict(written, **{key: 999.0})
+        est.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["check", str(est)]) == 1, key
+        assert f"FAIL: {key} recorded 999.0" in capsys.readouterr().out
+    # An artifact without the key is re-derived with the default seed 0.
+    data = dict(written)
+    del data["seed"]
+    est.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(est)]) == 1
+    assert "seed 0" in capsys.readouterr().out
 
 
 def test_cli_experiment_runs_config(tmp_path):
