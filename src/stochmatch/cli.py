@@ -6,31 +6,41 @@ Subcommands:
     estimate    expected matching value, optionally against a recorded subgraph
     oracle      exact per-edge matching probabilities (small graphs only)
     experiment  run a sweep described by a JSON config
-    check       re-derive and validate a recorded artifact
+    check       recompute a recorded artifact and compare every key
 
 Artifacts are JSON objects tagged with a "kind" field so check can
 dispatch without guessing.  All floats are printed with repr for exact
 round trips.
+
+sparsify, oracle and estimate each build their artifact in one function
+from the graph and the command's inputs; the command prints from that
+dict and writes it.  check calls the same function on the inputs the
+artifact records and reports every key path whose value differs, so a
+key added to an artifact is checked with no further code.  A
+sparsifier's recorded params are compared with compute_params before
+any round runs.  An edcs artifact is verified, not rebuilt: any subgraph
+within its degree bounds is valid, and a rebuild costs several times the
+verification, so check compares the recorded params with compute_beta
+and runs verify_edcs on the recorded edges.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import reprlib
 import sys
+from collections import Counter
+from dataclasses import asdict
 
-import numpy as np
-
-from .edcs import EdcsParams, EdcsSubgraph, build_edcs, compute_beta, verify_edcs
-from .errors import BudgetExceededError, GraphFormatError
+from .edcs import EdcsSubgraph, build_edcs, compute_beta, verify_edcs
 from .estimator import ExhaustiveOracle, approximation_ratio, expected_matching
-from .experiment import DEFAULT_R_CAP, ExperimentConfig, run_experiment
+from .experiment import DEFAULT_R_CAP, ExperimentConfig, _is_number, run_experiment
 from .generators import generate_graph, parse_generator, parse_weights
 from .graph import StochasticGraph
 from .io import dump_json, graph_from_json, graph_to_json, load_json, parse_graph_file
 from .matching import _per_call_scope
 from .realization import ENUMERATION_BUDGET_BITS, RngSeed
-from .sparsifier import Sparsifier, SparsifierParams, build_sparsifier, compute_params
+from .sparsifier import build_sparsifier, compute_params
 
 __all__ = ["main"]
 
@@ -75,32 +85,37 @@ def _mask_from_pairs(g: StochasticGraph, pairs) -> int:
     return mask
 
 
+def _write(artifact: dict, output: str | None) -> None:
+    if output:
+        dump_json(artifact, output)
+        print(f"wrote {output}")
+
+
+def _sparsifier_artifact(
+    g: StochasticGraph, epsilon: float, r_cap: int | None, seed: int, stream: int
+) -> dict:
+    params = compute_params(epsilon, g.p_v, g.p_e, r_cap)
+    sp = build_sparsifier(g, params, RngSeed(seed, stream))
+    return {
+        "kind": "sparsifier",
+        "graph": graph_to_json(g),
+        "seed": seed,
+        "stream": stream,
+        "params": asdict(params),
+        "counts": [int(c) for c in sp.counts],
+        "edges": _edge_pairs(g, sp.edge_mask),
+    }
+
+
 def _cmd_sparsify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    params = compute_params(args.epsilon, g.p_v, g.p_e, args.r_cap)
-    sp = build_sparsifier(g, params, RngSeed(args.seed, args.stream))
-    print(f"rounds: {params.rounds} (formula {params.rounds_formula}, cap {params.r_cap})")
-    print(f"tau: {repr(params.tau)}")
-    print(f"edges kept: {sp.size} of {g.m}")
-    print(f"max degree: {sp.subgraph_max_degree()}")
-    if args.output:
-        artifact = {
-            "kind": "sparsifier",
-            "graph": graph_to_json(g),
-            "seed": args.seed,
-            "stream": args.stream,
-            "params": {
-                "epsilon": params.epsilon,
-                "rounds": params.rounds,
-                "tau": params.tau,
-                "rounds_formula": params.rounds_formula,
-                "r_cap": params.r_cap,
-            },
-            "counts": [int(c) for c in sp.counts],
-            "edges": _edge_pairs(g, sp.edge_mask),
-        }
-        dump_json(artifact, args.output)
-        print(f"wrote {args.output}")
+    artifact = _sparsifier_artifact(g, args.epsilon, args.r_cap, args.seed, args.stream)
+    params, edges = artifact["params"], artifact["edges"]
+    print(f"rounds: {params['rounds']} (formula {params['rounds_formula']}, cap {params['r_cap']})")
+    print(f"tau: {params['tau']!r}")
+    print(f"edges kept: {len(edges)} of {g.m}")
+    print(f"max degree: {max(Counter(v for pair in edges for v in pair).values(), default=0)}")
+    _write(artifact, args.output)
     return 0
 
 
@@ -113,22 +128,37 @@ def _cmd_edcs(args: argparse.Namespace) -> int:
     print(f"edges kept: {h.size} of {g.m}")
     print(f"max degree: {h.max_degree()}")
     print(f"violations: {len(bad)}")
-    if args.output:
-        artifact = {
-            "kind": "edcs",
-            "graph": graph_to_json(g),
-            "params": {
-                "beta": params.beta,
-                "beta_minus": params.beta_minus,
-                "epsilon": params.epsilon,
-                "c_const": params.c_const,
-            },
-            "edges": _edge_pairs(g, h.edge_mask),
-            "fixups": h.fixups,
-        }
-        dump_json(artifact, args.output)
-        print(f"wrote {args.output}")
+    _write({"kind": "edcs", "graph": graph_to_json(g), "params": asdict(params),
+            "edges": _edge_pairs(g, h.edge_mask), "fixups": h.fixups}, args.output)
     return 1 if bad else 0
+
+
+def _estimate_artifact(
+    g: StochasticGraph, restrict: tuple[str, int] | None, mode: str, seed: int,
+    samples: int, confidence: float, budget_bits: int,
+) -> dict:
+    """restrict is (the file it came from, the edge mask) or None."""
+    how = dict(mode=mode, rng=RngSeed(seed), samples=samples, confidence=confidence,
+               budget_bits=budget_bits)
+    est = expected_matching(g, None if restrict is None else restrict[1], **how)
+    artifact = {
+        "kind": "estimate",
+        "graph": graph_to_json(g),
+        "mode": est.mode,
+        "value": est.value,
+        "ci": est.ci,
+        "samples": est.samples,
+        "confidence": est.confidence,
+        "seed": seed,
+        "budget_bits": budget_bits,
+    }
+    if restrict is not None:
+        name, mask = restrict
+        ratio = approximation_ratio(g, mask, **how)
+        artifact.update(
+            restrict=name, restrict_edges=_edge_pairs(g, mask), ratio=ratio.value, ratio_ci=ratio.ci
+        )
+    return artifact
 
 
 # estimate and check run the expectation and the ratio on one graph, so
@@ -140,59 +170,39 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     restrict = None
     if args.restrict:
-        artifact = load_json(args.restrict)
-        if "edges" not in artifact:
+        subgraph = load_json(args.restrict)
+        if "edges" not in subgraph:
             raise ValueError(f"{args.restrict} has no edge list to restrict to")
-        restrict = _mask_from_pairs(g, artifact["edges"])
-    how = dict(
-        mode=args.mode, rng=RngSeed(args.seed), samples=args.samples,
-        confidence=args.confidence, budget_bits=args.budget_bits,
+        restrict = (args.restrict, _mask_from_pairs(g, subgraph["edges"]))
+    artifact = _estimate_artifact(
+        g, restrict, args.mode, args.seed, args.samples, args.confidence, args.budget_bits
     )
-    est = expected_matching(g, restrict, **how)
-    print(f"mode: {est.mode}")
-    print(f"expected value: {repr(est.value)} +- {repr(est.ci)}")
-    result = {
-        "kind": "estimate",
-        "graph": graph_to_json(g),
-        "mode": est.mode,
-        "value": est.value,
-        "ci": est.ci,
-        "samples": est.samples,
-        "confidence": est.confidence,
-        "seed": args.seed,
-        "budget_bits": args.budget_bits,
-    }
+    print(f"mode: {artifact['mode']}")
+    print(f"expected value: {artifact['value']!r} +- {artifact['ci']!r}")
     if restrict is not None:
-        ratio = approximation_ratio(g, restrict, **how)
-        print(f"ratio vs full graph: {repr(ratio.value)} +- {repr(ratio.ci)}")
-        result["restrict"] = args.restrict
-        result["restrict_edges"] = _edge_pairs(g, restrict)
-        result["ratio"] = ratio.value
-        result["ratio_ci"] = ratio.ci
-    if args.output:
-        dump_json(result, args.output)
-        print(f"wrote {args.output}")
+        print(f"ratio vs full graph: {artifact['ratio']!r} +- {artifact['ratio_ci']!r}")
+    _write(artifact, args.output)
     return 0
+
+
+def _oracle_artifact(g: StochasticGraph, budget_bits: int) -> dict:
+    oracle = ExhaustiveOracle(g, budget_bits)
+    return {
+        "kind": "oracle",
+        "graph": graph_to_json(g),
+        "q": [float(x) for x in oracle.edge_probabilities()],
+        "expected_value": oracle.expected_value(),
+        "budget_bits": budget_bits,
+    }
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    oracle = ExhaustiveOracle(g, args.budget_bits)
-    q = oracle.edge_probabilities()
-    value = oracle.expected_value()
-    for i, e in enumerate(g.edges):
-        print(f"{e.u} {e.v} {repr(float(q[i]))}")
-    print(f"expected value: {repr(value)}")
-    if args.output:
-        artifact = {
-            "kind": "oracle",
-            "graph": graph_to_json(g),
-            "q": [float(x) for x in q],
-            "expected_value": value,
-            "budget_bits": args.budget_bits,
-        }
-        dump_json(artifact, args.output)
-        print(f"wrote {args.output}")
+    artifact = _oracle_artifact(g, args.budget_bits)
+    for e, q in zip(g.edges, artifact["q"]):
+        print(f"{e.u} {e.v} {q!r}")
+    print(f"expected value: {artifact['expected_value']!r}")
+    _write(artifact, args.output)
     return 0
 
 
@@ -211,95 +221,81 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_sparsifier(artifact: dict) -> list[str]:
-    problems: list[str] = []
-    g = graph_from_json(artifact["graph"])
-    params = SparsifierParams(**artifact["params"])
-    counts = np.asarray(artifact["counts"], dtype=np.int64)
-    if counts.shape != (g.m,):
-        return [f"counts has shape {counts.shape}, expected ({g.m},)"]
-    recorded = Sparsifier(g, params, counts)
-    if _mask_from_pairs(g, artifact["edges"]) != recorded.edge_mask:
-        problems.append("edge list disagrees with the positive counts")
-    rebuilt = build_sparsifier(g, params, RngSeed(artifact["seed"], artifact["stream"]))
-    if not np.array_equal(rebuilt.counts, recorded.counts):
-        problems.append("rebuild with the recorded seed gives different counts")
-    return problems
+# Stands for a key that one side of a comparison lacks.
+_MISSING = type("_Missing", (), {"__repr__": lambda self: "nothing"})()
 
 
-def _check_edcs(artifact: dict) -> list[str]:
-    g = graph_from_json(artifact["graph"])
-    params = EdcsParams(**artifact["params"])
-    problems = []
-    want = compute_beta(params.epsilon, g.p_v, g.p_e, params.c_const)
-    if (params.beta, params.beta_minus) != (want.beta, want.beta_minus):
-        problems.append(
-            f"bounds ({params.beta}, {params.beta_minus}) differ from ({want.beta}, "
-            f"{want.beta_minus}) given by epsilon {params.epsilon!r} and c_const {params.c_const!r}"
-        )
-    mask = _mask_from_pairs(g, artifact["edges"])
-    h = EdcsSubgraph(g, params, mask, artifact.get("fixups", 0))
-    problems += [f"{side} violation at edge {i} (degree sum {s})" for side, i, s in verify_edcs(g, h)]
-    return problems
+def _differences(recorded, recomputed, path: str = "") -> list[str]:
+    """One "<key path> recorded X, recomputed Y" line per difference.
+
+    Objects are compared key by key and lists item by item.  Numbers
+    must agree within 1e-12 and anything else must be equal, so a
+    missing key, a wrong type or a wrong list length is a difference.
+    """
+    if isinstance(recorded, dict) and isinstance(recomputed, dict):
+        return [line for key in sorted(recorded.keys() | recomputed.keys())
+                for line in _differences(recorded.get(key, _MISSING), recomputed.get(key, _MISSING),
+                                         f"{path}.{key}" if path else key)]
+    if isinstance(recorded, list) and isinstance(recomputed, list) and len(recorded) == len(recomputed):
+        return [line for i, (a, b) in enumerate(zip(recorded, recomputed))
+                for line in _differences(a, b, f"{path}[{i}]")]
+    numbers = _is_number(recorded) and _is_number(recomputed)
+    if numbers and abs(recorded - recomputed) <= 1e-12:
+        return []
+    if not numbers and type(recorded) is type(recomputed) and recorded == recomputed:
+        return []
+    return [f"{path} recorded {reprlib.repr(recorded)}, recomputed {reprlib.repr(recomputed)}"]
 
 
-def _check_oracle(artifact: dict) -> list[str]:
-    g = graph_from_json(artifact["graph"])
-    oracle = ExhaustiveOracle(g, artifact.get("budget_bits", ENUMERATION_BUDGET_BITS))
-    q = oracle.edge_probabilities()
-    problems = [
-        f"q[{i}] recorded {artifact['q'][i]!r}, recomputed {float(q[i])!r}"
-        for i in range(g.m)
-        if abs(artifact["q"][i] - float(q[i])) > 1e-12
-    ]
-    value = oracle.expected_value()
-    if abs(artifact["expected_value"] - value) > 1e-12:
-        problems.append(f"expected value recorded {artifact['expected_value']!r}, recomputed {value!r}")
-    return problems
+def _recompute(recorded: dict) -> list[str]:
+    """FAIL lines for an artifact, recomputed from the inputs it records.
 
-
-def _check_estimate(artifact: dict) -> list[str]:
-    """Re-derive value and ci (ratio and ratio_ci when a restriction is
-    recorded) with the recorded mode, seed, samples, confidence and
-    budget; a missing seed or budget takes the command's default."""
-    g = graph_from_json(artifact["graph"])
-    restrict = None
-    if "restrict_edges" in artifact:
-        restrict = _mask_from_pairs(g, artifact["restrict_edges"])
-    seed = artifact.get("seed", 0)
-    how = dict(
-        mode={"monte-carlo": "mc"}.get(artifact["mode"], artifact["mode"]),
-        rng=RngSeed(seed),
-        samples=artifact["samples"],
-        confidence=artifact["confidence"],
-        budget_bits=artifact.get("budget_bits", ENUMERATION_BUDGET_BITS),
-    )
-    est = expected_matching(g, restrict, **how)
-    recomputed = {"value": est.value, "ci": est.ci}
-    if restrict is not None:
-        ratio = approximation_ratio(g, restrict, **how)
-        recomputed.update(ratio=ratio.value, ratio_ci=ratio.ci)
-    with_seed = f" with seed {seed}" if est.mode == "monte-carlo" else ""
-    return [
-        f"{key} recorded {artifact[key]!r}, recomputed {value!r}{with_seed}"
-        for key, value in recomputed.items()
-        if abs(artifact[key] - value) > 1e-12
-    ]
+    A missing seed or budget_bits takes the command's default.
+    """
+    kind = recorded["kind"]
+    g = graph_from_json(recorded["graph"])
+    if kind == "oracle":
+        recorded = {"budget_bits": ENUMERATION_BUDGET_BITS, **recorded}
+        return _differences(recorded, _oracle_artifact(g, recorded["budget_bits"]))
+    if kind == "estimate":
+        recorded = {"seed": 0, "budget_bits": ENUMERATION_BUDGET_BITS, **recorded}
+        restrict = None
+        if "restrict_edges" in recorded:
+            restrict = (recorded.get("restrict"), _mask_from_pairs(g, recorded["restrict_edges"]))
+        mode = {"monte-carlo": "mc"}.get(recorded["mode"], recorded["mode"])
+        recomputed = _estimate_artifact(g, restrict, mode, recorded["seed"], recorded["samples"],
+                                        recorded["confidence"], recorded["budget_bits"])
+        with_seed = f" with seed {recorded['seed']}" if recomputed["mode"] == "monte-carlo" else ""
+        return [line + with_seed for line in _differences(recorded, recomputed)]
+    # The bounds come first: a sparsifier's params fix how many rounds a
+    # rebuild runs, and an edcs subgraph is checked against its bounds.
+    params = recorded["params"]
+    if kind == "sparsifier":
+        want = compute_params(params["epsilon"], g.p_v, g.p_e, params["r_cap"])
+    else:
+        want = compute_beta(params["epsilon"], g.p_v, g.p_e, params["c_const"])
+    problems = _differences({"params": params}, {"params": asdict(want)})
+    if problems:
+        return problems
+    if kind == "sparsifier":
+        rebuilt = _sparsifier_artifact(g, want.epsilon, want.r_cap, recorded["seed"], recorded["stream"])
+        return _differences(recorded, rebuilt)
+    h = EdcsSubgraph(g, want, _mask_from_pairs(g, recorded["edges"]), recorded.get("fixups", 0))
+    return [f"{side} violation at edge {i} (degree sum {s})" for side, i, s in verify_edcs(g, h)]
 
 
 @_per_call_scope()
 def _cmd_check(args: argparse.Namespace) -> int:
-    artifact = load_json(args.artifact)
-    kind = artifact.get("kind")
-    checkers = {
-        "sparsifier": _check_sparsifier,
-        "edcs": _check_edcs,
-        "oracle": _check_oracle,
-        "estimate": _check_estimate,
-    }
-    if kind not in checkers:
+    recorded = load_json(args.artifact)
+    if not isinstance(recorded, dict):
+        raise ValueError(f"{args.artifact} holds a {type(recorded).__name__}, not an artifact object")
+    kind = recorded.get("kind")
+    if kind not in ("sparsifier", "edcs", "oracle", "estimate"):
         raise ValueError(f"cannot check artifact of kind {kind!r}")
-    problems = checkers[kind](artifact)
+    try:
+        problems = _recompute(recorded)
+    except (TypeError, OverflowError) as exc:  # a recorded value of the wrong type or size
+        raise ValueError(f"{args.artifact} is malformed: {exc}") from exc
     if problems:
         for p in problems:
             print(f"FAIL: {p}")
@@ -368,15 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        GraphFormatError,
-        BudgetExceededError,
-        RuntimeError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-    ) as exc:
+    # ValueError covers the package's own errors and malformed JSON.
+    except (ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -161,6 +161,10 @@ def run_fractional_pipeline(
     )
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one sweep.
@@ -196,10 +200,19 @@ class ExperimentConfig:
             raise ValueError("exactly one of graph_file and generator is required")
         for name in ("epsilon", "p_v", "p_e"):
             values = getattr(self, name)
-            if not isinstance(values, list) or not values or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
-            ):
+            if not isinstance(values, list) or not values or not all(map(_is_number, values)):
                 raise ValueError(f"{name} must be a non-empty list of numbers, got {values!r}")
+        for name in ("seed", "gen_seed", "samples", "budget_bits", "workers"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.r_cap is not None and type(self.r_cap) is not int:
+            raise ValueError(f"r_cap must be an int or null, got {self.r_cap!r}")
+        if not _is_number(self.c_const):
+            raise ValueError(f"c_const must be a number, got {self.c_const!r}")
+        for name in ("weights", "output", "generator", "graph_file"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and (value is not None or name in ("weights", "output")):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
 

@@ -208,6 +208,18 @@ def test_config_rejects_bad_shapes():
         dict(ok, p_v=[True]),
         dict(ok, p_e=[0.5, "1"]),
         dict(ok, workers=0),
+        dict(ok, workers=True),
+        dict(ok, workers="2"),
+        dict(ok, seed="1"),
+        dict(ok, gen_seed=1.5),
+        dict(ok, samples="10"),
+        dict(ok, budget_bits="22"),
+        dict(ok, r_cap=2.5),
+        dict(ok, c_const="4"),
+        dict(ok, weights=3),
+        dict(ok, output=5),
+        dict(ok, generator=5),
+        dict(epsilon=[0.3], graph_file=5),
         dict(ok, graph_file="also.txt"),  # both sources
         dict(epsilon=[0.3]),  # no source
     ):
@@ -345,7 +357,7 @@ def test_cli_edcs_check_rejects_edited_bounds(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", str(art)]) == 1
     out = capsys.readouterr().out
-    assert "FAIL: bounds (1000000, 1) differ from (1713, 1712)" in out
+    assert "FAIL: params.beta recorded 1000000, recomputed 1713" in out
 
 
 def test_cli_estimate_with_restriction(tmp_path):
@@ -407,6 +419,133 @@ def test_cli_check_rederives_monte_carlo_estimates(tmp_path, capsys):
     est.write_text(json.dumps(data), encoding="utf-8")
     assert main(["check", str(est)]) == 1
     assert "seed 0" in capsys.readouterr().out
+
+
+def _edit(data: dict, path: str, change) -> dict:
+    """A deep copy of ``data`` with ``change`` applied to the value at a
+    key path such as "params.tau" or "counts[0]"."""
+    copy = json.loads(json.dumps(data))
+    *parents, last = path.replace("[", ".").replace("]", "").split(".")
+    node = copy
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    key = int(last) if isinstance(node, list) else last
+    node[key] = change(node[key])
+    return copy
+
+
+def test_cli_check_compares_every_computed_key(tmp_path, capsys):
+    sp = str(tmp_path / "sp.json")
+    graph = ["--generator", "erdos-renyi(n=8,p=0.4)", "--gen-seed", "7", "--p-v", "0.8"]
+    assert main(["sparsify", *graph, "--epsilon", "0.2", "--r-cap", "50", "--output", sp]) == 0
+    oracle = str(tmp_path / "o.json")
+    small = ["--generator", "erdos-renyi(n=6, p=0.6)", "--gen-seed", "2", "--p-v", "0.7"]
+    assert main(["oracle", *small, "--output", oracle]) == 0
+    small_sp = str(tmp_path / "small-sp.json")
+    assert main(["sparsify", *small, "--epsilon", "0.3", "--r-cap", "100", "--output", small_sp]) == 0
+    exact = str(tmp_path / "exact.json")
+    argv = ["estimate", *small, "--mode", "exact", "--restrict", small_sp, "--output", exact]
+    assert main(argv) == 0
+    path_graph = ["--generator", "path(n=30)", "--p-v", "0.9", "--p-e", "0.8"]
+    path_sp = str(tmp_path / "path-sp.json")
+    assert main(["sparsify", *path_graph, "--epsilon", "0.3", "--r-cap", "20", "--output", path_sp]) == 0
+    mc = str(tmp_path / "mc.json")
+    argv = ["estimate", *path_graph, "--mode", "mc", "--samples", "500", "--seed", "3",
+            "--restrict", path_sp, "--output", mc]
+    assert main(argv) == 0
+    bump = lambda x: x + 0.5  # noqa: E731
+    edits = [
+        (sp, "params.tau", lambda x: 0.5),
+        (sp, "params.rounds_formula", lambda x: 50),
+        (sp, "params.rounds", lambda x: x - 1),
+        (sp, "counts[0]", lambda x: x + 1),
+        (sp, "edges", lambda x: x[:-1]),
+        (oracle, "q[0]", bump),
+        (oracle, "expected_value", bump),
+        (exact, "value", bump),
+        (exact, "ci", bump),
+        (exact, "samples", lambda x: 7),
+        (exact, "confidence", lambda x: 0.5),
+        (exact, "ratio", lambda x: x / 2),
+        (exact, "ratio_ci", bump),
+        (mc, "value", bump),
+        (mc, "ci", bump),
+        (mc, "ratio", lambda x: x / 2),
+        (mc, "ratio_ci", bump),
+    ]
+    edited = tmp_path / "edited.json"
+    for source, key, change in edits:
+        capsys.readouterr()
+        assert main(["check", source]) == 0, source
+        edited.write_text(json.dumps(_edit(load_json(source), key, change)), encoding="utf-8")
+        assert main(["check", str(edited)]) == 1, (source, key)
+        out = capsys.readouterr().out
+        assert f"FAIL: {key} recorded" in out, (source, key, out)
+        if source == mc:
+            assert out.rstrip().endswith("with seed 3"), out
+
+
+def test_cli_check_compares_params_before_any_round(tmp_path, capsys, monkeypatch):
+    # Without the cap the formula asks for 6 462 035 rounds; the recorded
+    # params must be refused before a single one runs.
+    art = tmp_path / "q.json"
+    argv = ["sparsify", "--generator", "erdos-renyi(n=8,p=0.4)", "--gen-seed", "7",
+            "--p-v", "0.8", "--epsilon", "0.2", "--r-cap", "50", "--output", str(art)]
+    assert main(argv) == 0
+    art.write_text(json.dumps(_edit(load_json(str(art)), "params.r_cap", lambda x: None)),
+                   encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check rebuilt the sparsifier")
+
+    monkeypatch.setattr("stochmatch.cli.build_sparsifier", refuse)
+    capsys.readouterr()
+    assert main(["check", str(art)]) == 1
+    assert "FAIL: params.rounds recorded 50, recomputed 6462035" in capsys.readouterr().out
+
+
+def test_cli_check_refuses_malformed_artifacts(tmp_path, capsys):
+    oracle = str(tmp_path / "o.json")
+    assert main(["oracle", "--generator", "path(n=3)", "--p-v", "0.5", "--output", oracle]) == 0
+    edcs = str(tmp_path / "h.json")
+    assert main(["edcs", "--generator", "complete(n=6)", "--epsilon", "0.3", "--output", edcs]) == 0
+    written = load_json(oracle)
+    cases = [
+        [written],
+        dict(written, q="x"),
+        dict(written, q=[]),
+        dict(written, expected_value=10**400),
+        _edit(load_json(edcs), "params", lambda p: dict(p, extra=1)),
+    ]
+    bad = tmp_path / "bad.json"
+    for data in cases:
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["check", str(bad)]) == 1, data
+        captured = capsys.readouterr()
+        assert "FAIL:" in captured.out or captured.err.startswith("error:"), data
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (dict(samples="10", q_mode="mc"), "samples"),
+        (dict(workers="2"), "workers"),
+        (dict(workers=True), "workers"),
+        (dict(budget_bits="22"), "budget_bits"),
+        (dict(r_cap=2.5), "r_cap"),
+        (dict(weights=3), "weights"),
+        (dict(c_const="4", algorithm="edcs"), "c_const"),
+    ],
+)
+def test_cli_experiment_refuses_a_mistyped_scalar(tmp_path, capsys, change, field):
+    cfg = dict(epsilon=[0.3], generator="path(n=4)", r_cap=20, samples=200,
+               output=str(tmp_path / "rows.csv"))
+    cfg.update(change)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["experiment", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}")
 
 
 def test_cli_experiment_runs_config(tmp_path):
