@@ -57,7 +57,6 @@ from .matching import (
     CanonicalMatcher,
     Matching,
     matching_from_indices,
-    max_matching_value,
     max_weight_matching,
 )
 from .realization import (
@@ -85,7 +84,6 @@ __all__ = [
     "Matching",
     "CanonicalMatcher",
     "max_weight_matching",
-    "max_matching_value",
     "matching_from_indices",
     "Realization",
     "RngSeed",

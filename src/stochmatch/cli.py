@@ -79,8 +79,14 @@ def _edge_pairs(g: StochasticGraph, edge_mask: int) -> list[list[int]]:
 
 
 def _mask_from_pairs(g: StochasticGraph, pairs) -> int:
+    """Edge mask of a JSON list of [u, v] vertex pairs."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"edges must be a list of [u, v] pairs, got {reprlib.repr(pairs)}")
     mask = 0
-    for u, v in pairs:
+    for pair in pairs:
+        u, v = pair if type(pair) is list and len(pair) == 2 else (None, None)
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge {reprlib.repr(pair)} is not a [u, v] pair of vertex ids")
         mask |= 1 << g.edge_index(u, v)
     return mask
 
@@ -171,9 +177,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     restrict = None
     if args.restrict:
         subgraph = load_json(args.restrict)
+        if not isinstance(subgraph, dict):
+            raise ValueError(f"{args.restrict} holds a {type(subgraph).__name__}, not an object")
         if "edges" not in subgraph:
             raise ValueError(f"{args.restrict} has no edge list to restrict to")
-        restrict = (args.restrict, _mask_from_pairs(g, subgraph["edges"]))
+        try:
+            restrict = (args.restrict, _mask_from_pairs(g, subgraph["edges"]))
+        except ValueError as exc:
+            raise ValueError(f"{args.restrict}: {exc}") from exc
     artifact = _estimate_artifact(
         g, restrict, args.mode, args.seed, args.samples, args.confidence, args.budget_bits
     )

@@ -129,9 +129,6 @@ class EdcsSubgraph:
     def max_degree(self) -> int:
         return int(self.degrees.max(initial=0))
 
-    def contains(self, i: int) -> bool:
-        return bool(self.edge_mask >> i & 1)
-
 
 def build_edcs(
     g: StochasticGraph, params: EdcsParams, max_fixups: int = 1_000_000
@@ -224,7 +221,7 @@ def edcs_matching_ratio(g: StochasticGraph, h: EdcsSubgraph) -> float:
     ``approximation_ratio(g, h.edge_mask, ...)``.
     """
     matcher = _scoped_matcher(g)
-    full = matcher.value_for_mask(None)
+    full = matcher.for_mask(None).total_weight
     if full == 0.0:
         return 1.0
-    return matcher.value_for_mask(h.edge_mask) / full
+    return matcher.for_mask(h.edge_mask).total_weight / full

@@ -72,7 +72,7 @@ def _mean_value(
     """(sum of weight * matching value / divisor, the values), matching
     each outcome's edges within ``restrict_to`` (all when None)."""
     keep = -1 if restrict_to is None else restrict_to
-    values = [matcher.value_for_mask(mask & keep) for mask, _ in outcomes]
+    values = [matcher.for_mask(mask & keep).total_weight for mask, _ in outcomes]
     return math.fsum(w * v for (_, w), v in zip(outcomes, values)) / divisor, values
 
 

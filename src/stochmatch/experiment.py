@@ -22,11 +22,9 @@ import numpy as np
 from .edcs import build_edcs, compute_beta, verify_edcs
 from .estimator import _resolve_mode, approximation_ratio
 from .fractional import (
-    CrucialClassification,
     EdgeStats,
     FractionalMatching,
     check_blossom_constraints,
-    classify_crucial_weighted,
     compute_edge_stats,
     crucial_procedure_unweighted,
     crucial_procedure_weighted,
@@ -74,6 +72,10 @@ DEFAULT_R_CAP = 10_000
 class PipelineResult:
     """Everything one end-to-end fractional run produced.
 
+    realized is the run's one realization; both fractional stages read
+    only its edge mask.  :func:`classify_crucial_weighted` gives the
+    weighted categories of m_c on demand.
+
     checks maps invariant names to pass/fail:
         support: x lives on realized sparsifier edges only.
         vertex_cap: after the non-crucial stage, x_v <= max{q_v, eps}/p_v
@@ -98,7 +100,6 @@ class PipelineResult:
     x_non_crucial: FractionalMatching
     m_c: Matching
     x: FractionalMatching
-    classification: CrucialClassification | None
     integral: Matching | None
     checks: dict[str, bool]
     margins: dict[str, float]
@@ -119,7 +120,7 @@ def run_fractional_pipeline(
     budget_bits: int = ENUMERATION_BUDGET_BITS,
     params: SparsifierParams | None = None,
 ) -> PipelineResult:
-    """Sparsifier rounds, classification, both fractional stages, checks.
+    """Sparsifier rounds, edge classification, both fractional stages, checks.
 
     Args:
         params: pre-computed parameters (overrides epsilon/r_cap), which
@@ -132,14 +133,10 @@ def run_fractional_pipeline(
     stats = compute_edge_stats(g, mode=q_mode, rng=rng, samples=samples, budget_bits=budget_bits)
     crucial_mask, non_crucial_mask = classify_edges(sp, stats.q)
     realized = sample_realization(g, rng)
-    x_nc = non_crucial_procedure(sp, stats, non_crucial_mask, realized)
-    m_c = sample_crucial_matching(sp, g, crucial_mask, realized=realized)
-    if g.weighted:
-        x = crucial_procedure_weighted(x_nc, m_c, stats, non_crucial_mask, eps)
-        classification = classify_crucial_weighted(m_c, stats, non_crucial_mask)
-    else:
-        x = crucial_procedure_unweighted(x_nc, m_c, stats, non_crucial_mask, eps)
-        classification = None
+    x_nc = non_crucial_procedure(sp, stats, non_crucial_mask, realized.edge_mask)
+    m_c = sample_crucial_matching(sp, crucial_mask, realized.edge_mask)
+    crucial_stage = crucial_procedure_weighted if g.weighted else crucial_procedure_unweighted
+    x = crucial_stage(x_nc, m_c, stats, non_crucial_mask, eps)
 
     checks: dict[str, bool] = {}
     view = realized.edge_mask & sp.edge_mask
@@ -157,7 +154,7 @@ def run_fractional_pipeline(
         checks["integral"] = False
     return PipelineResult(
         g, params, sp, stats, crucial_mask, non_crucial_mask, realized,
-        x_nc, m_c, x, classification, integral, checks, margins,
+        x_nc, m_c, x, integral, checks, margins,
     )
 
 

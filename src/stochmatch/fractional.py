@@ -35,7 +35,7 @@ from .errors import BudgetExceededError
 from .estimator import _edge_means, _outcomes, _resolve_mode
 from .graph import StochasticGraph, indices_from_mask, iter_bits, mask_from_indices
 from .matching import Matching, _scoped_matcher, matching_from_indices
-from .realization import ENUMERATION_BUDGET_BITS, Realization, RngSeed
+from .realization import ENUMERATION_BUDGET_BITS, RngSeed
 from .sparsifier import Sparsifier
 
 __all__ = [
@@ -85,10 +85,11 @@ class EdgeStats:
             raise ValueError(f"expected {self.graph.m} probabilities, got {self.q.shape}")
 
     def phi(self, within: int | None = None) -> float:
-        """Sum of w_e * q_e over an edge set (all edges when None)."""
-        w = self.graph.weight_array
-        idx = range(self.graph.m) if within is None else iter_bits(within)
-        return math.fsum(w[i] * self.q[i] for i in idx)
+        """Sum of w_e * q_e over an edge set (all edges when None); bits
+        of ``within`` past the last edge are ignored."""
+        g = self.graph
+        idx = range(g.m) if within is None else iter_bits(within & g.all_edges_mask)
+        return math.fsum(g.weight_array[i] * self.q[i] for i in idx)
 
     def vertex_q_array(self, within: int | None = None) -> np.ndarray:
         return self.graph.vertex_sums(self.q, within)
@@ -156,7 +157,7 @@ def non_crucial_procedure(
     s: Sparsifier,
     stats: EdgeStats,
     non_crucial_mask: int,
-    realized: Realization,
+    realized_edges: int,
 ) -> FractionalMatching:
     """Fractional values on realized non-crucial sparsifier edges.
 
@@ -171,7 +172,7 @@ def non_crucial_procedure(
     eps = s.params.epsilon
     tau = s.params.tau
     pe2 = g.p_v * g.p_v * g.p_e
-    active = realized.edge_mask & s.edge_mask & non_crucial_mask
+    active = realized_edges & s.edge_mask & non_crucial_mask
     idx = list(iter_bits(active))
     x_t = np.zeros(g.m)
     x_t[idx] = np.minimum(s.f[idx], 2.0 * tau) / pe2
@@ -185,22 +186,19 @@ def non_crucial_procedure(
     return FractionalMatching(g, x_t * scale)
 
 
-def sample_crucial_matching(
-    s: Sparsifier,
-    g: StochasticGraph,
-    crucial_mask: int,
-    realized: Realization,
-) -> Matching:
-    """One crucial matching M_C: the canonical matching of ``realized``,
-    intersected with the crucial edges of Q.
+def sample_crucial_matching(s: Sparsifier, crucial_mask: int, realized_edges: int) -> Matching:
+    """One crucial matching M_C: the canonical matching of the realized
+    edge set ``realized_edges``, intersected with the crucial edges of Q.
 
-    The pipeline passes its own realization, which keeps M_C on edges
-    that actually survived this trial.  Each crucial Q edge lands in M_C
-    with probability exactly q_e over the draw of ``realized``, and M_C
-    is a matching because it is a subset of one.
+    The pipeline passes the edge mask of its own realization, which
+    keeps M_C on edges that actually survived this trial.  Each crucial
+    Q edge lands in M_C with probability exactly q_e over the draw of
+    that realization, and M_C is a matching because it is a subset of
+    one.
     """
-    base = _scoped_matcher(g).for_mask(realized.edge_mask)
-    keep = crucial_mask & s.edge_mask & realized.edge_mask
+    g = s.graph
+    base = _scoped_matcher(g).for_mask(realized_edges)
+    keep = crucial_mask & s.edge_mask & realized_edges
     return matching_from_indices(g, (i for i in base.indices if keep >> i & 1))
 
 
@@ -354,8 +352,12 @@ def crucial_procedure_weighted(
     Each edge (u, v) of M_C receives (1 - eps) * alpha*, where alpha*
     maximizes the tradeoff between the edge's own weight (the a*w term)
     and the non-crucial mass its endpoints can still keep; non-crucial
-    values at any vertex pushed over budget 1 are then scaled down.  A
-    heavy edge has alpha* = 1 and so takes (1 - eps) outright.
+    values at any vertex pushed over budget 1 are then scaled down.
+    alpha* does not follow the category of
+    :func:`classify_crucial_weighted`: a heavy edge can get alpha* < 1,
+    because past alpha = 1 - q_u the mass endpoint u keeps falls at the
+    rate phi_u / q_u, which can exceed w_e even when
+    w_e >= (1 + delta)(phi_u + phi_v).
     """
     g = x.graph
     out = x.copy()

@@ -49,7 +49,14 @@ def mask_from_indices(indices: Iterable[int]) -> int:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+    """Yield the set bit positions of ``mask`` in increasing order.
+
+    Raises:
+        ValueError: when ``mask`` is negative; it has infinitely many
+            set bits.
+    """
+    if mask < 0:
+        raise ValueError(f"a bitmask must be non-negative, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

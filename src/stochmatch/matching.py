@@ -55,7 +55,6 @@ from .graph import Edge, StochasticGraph
 __all__ = [
     "Matching",
     "max_weight_matching",
-    "max_matching_value",
     "matching_from_indices",
     "CanonicalMatcher",
 ]
@@ -93,9 +92,6 @@ class Matching:
     def is_valid(self) -> bool:
         """True when no two member edges share a vertex."""
         return len(self.vertices) == 2 * len(self.edges)
-
-    def contains(self, index: int) -> bool:
-        return index in self.indices
 
 
 def _conflict_masks(pairs: Sequence[tuple[int, int]]) -> list[int]:
@@ -211,11 +207,6 @@ def max_weight_matching(g: StochasticGraph | Iterable[tuple[int, int, float]]) -
     return Matching(positions, chosen, math.fsum(e.weight for e in chosen))
 
 
-def max_matching_value(g: StochasticGraph | Iterable[tuple[int, int, float]]) -> float:
-    """Weight of a maximum-weight matching (cardinality if unweighted)."""
-    return max_weight_matching(g).total_weight
-
-
 def matching_from_indices(g: StochasticGraph, indices: Iterable[int]) -> Matching:
     """Build a Matching object from edge indices of ``g``, validating disjointness."""
     idx = tuple(sorted(set(int(i) for i in indices)))
@@ -271,9 +262,6 @@ class CanonicalMatcher:
         result = Matching(indices, chosen, math.fsum(e.weight for e in chosen))
         self._cache[mask] = result
         return result
-
-    def value_for_mask(self, edge_mask: int | None = None) -> float:
-        return self.for_mask(edge_mask).total_weight
 
     def cache_size(self) -> int:
         return len(self._cache)

@@ -3,10 +3,9 @@
 A realization keeps each vertex independently with probability ``p_v``
 and each edge whose endpoints both survived independently with
 probability ``p_e``.  Realizations are represented as two bitmasks; an
-edge bit may be set only when both endpoint vertex bits are set.  That
-invariant cannot be checked without the parent graph, so constructors
-here guarantee it and :meth:`Realization.is_consistent` re-checks it
-against a graph on demand.
+edge bit may be set only when both endpoint vertex bits are set, which
+the sampler guarantees.  So the edge mask alone is the realized edge
+set, and it is all that the fractional stages and the estimators read.
 
 Every quantity the package computes comes from this one distribution,
 through one of two primitives: ``_sample_masks`` draws a batch of
@@ -99,33 +98,6 @@ class Realization:
 
     vertex_mask: int
     edge_mask: int
-
-    @property
-    def vertex_count(self) -> int:
-        return self.vertex_mask.bit_count()
-
-    @property
-    def edge_count(self) -> int:
-        return self.edge_mask.bit_count()
-
-    def has_vertex(self, v: int) -> bool:
-        return bool(self.vertex_mask >> v & 1)
-
-    def has_edge(self, i: int) -> bool:
-        return bool(self.edge_mask >> i & 1)
-
-    def is_consistent(self, g: StochasticGraph) -> bool:
-        """True when every surviving edge has both endpoints surviving."""
-        if self.edge_mask >> g.m or self.vertex_mask >> g.n:
-            return False
-        for i, vm in enumerate(g.edge_vertex_masks):
-            if self.edge_mask >> i & 1 and (self.vertex_mask & vm) != vm:
-                return False
-        return True
-
-    def restricted(self, edge_mask: int) -> "Realization":
-        """Drop surviving edges outside ``edge_mask``; vertices unchanged."""
-        return Realization(self.vertex_mask, self.edge_mask & edge_mask)
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:

@@ -138,9 +138,6 @@ class Sparsifier:
     def size(self) -> int:
         return len(self.edge_indices)
 
-    def contains(self, i: int) -> bool:
-        return bool(self.counts[i])
-
     def subgraph_max_degree(self) -> int:
         """Maximum degree of the Q subgraph.
 

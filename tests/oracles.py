@@ -65,6 +65,18 @@ def enumerate_outcomes(n, edges, p_v, p_e):
             yield vset, eset, prob
 
 
+def consistent_outcome(n, edges, vertex_mask, edge_mask):
+    """True when the masks name vertices and edges of the graph, and
+    every surviving edge has both endpoints surviving."""
+    if vertex_mask >> n or edge_mask >> len(edges):
+        return False
+    return all(
+        vertex_mask >> u & 1 and vertex_mask >> v & 1
+        for i, (u, v, *_) in enumerate(edges)
+        if edge_mask >> i & 1
+    )
+
+
 def _powerset(items):
     items = list(items)
     for k in range(len(items) + 1):
@@ -243,10 +255,10 @@ def reference_oracle_expected_value(oracle, restrict_to=None):
     """``ExhaustiveOracle.expected_value`` as a loop over the distribution."""
     matcher = oracle.matcher
     if restrict_to is None:
-        terms = [p * matcher.value_for_mask(mask) for mask, p in oracle.distribution.items()]
+        terms = [p * matcher.for_mask(mask).total_weight for mask, p in oracle.distribution.items()]
     else:
         terms = [
-            p * matcher.value_for_mask(mask & restrict_to)
+            p * matcher.for_mask(mask & restrict_to).total_weight
             for mask, p in oracle.distribution.items()
         ]
     return math.fsum(terms)
@@ -275,7 +287,7 @@ def reference_mc_expected_value(g, rng, samples, restrict_to=None, confidence=0.
     _, emasks = _sample_masks(g, gen, samples)
     if restrict_to is not None:
         emasks = [emask & restrict_to for emask in emasks]
-    values = [matcher.value_for_mask(emask) for emask in emasks]
+    values = [matcher.for_mask(emask).total_weight for emask in emasks]
     mean = math.fsum(values) / samples
     spread = max(values) - min(values)
     half = spread * math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
@@ -301,8 +313,8 @@ def reference_approximation_ratio(g, restrict_to, mode, rng=None, samples=0, con
     num_values = []
     den_values = []
     for emask in emasks:
-        den_values.append(matcher.value_for_mask(emask))
-        num_values.append(matcher.value_for_mask(emask & restrict_to))
+        den_values.append(matcher.for_mask(emask).total_weight)
+        num_values.append(matcher.for_mask(emask & restrict_to).total_weight)
     den = math.fsum(den_values) / samples
     num = math.fsum(num_values) / samples
     if den == 0.0:
@@ -390,7 +402,7 @@ def reference_enforce_vertex_budgets(g, x, fixed_mask, loads):
     return x
 
 
-def reference_non_crucial_x(s, stats, non_crucial_mask, realized):
+def reference_non_crucial_x(s, stats, non_crucial_mask, realized_edges):
     """``non_crucial_procedure``'s x: a per-vertex fsum of x~ and a
     per-edge minimum over the endpoint factors."""
     import numpy as np
@@ -399,7 +411,7 @@ def reference_non_crucial_x(s, stats, non_crucial_mask, realized):
     eps = s.params.epsilon
     tau = s.params.tau
     pe2 = g.p_v * g.p_v * g.p_e
-    active = realized.edge_mask & s.edge_mask & non_crucial_mask
+    active = realized_edges & s.edge_mask & non_crucial_mask
     x_t = np.zeros(g.m)
     for i in range(g.m):
         if active >> i & 1:

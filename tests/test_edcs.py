@@ -89,7 +89,6 @@ def test_triangle_build_by_hand():
     assert h.size == 2
     assert h.max_degree() == 2
     assert list(h.degrees) == [2, 1, 1]
-    assert h.contains(0) and h.contains(1) and not h.contains(2)
 
 
 def test_build_is_deterministic():

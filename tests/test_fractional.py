@@ -26,7 +26,7 @@ from stochmatch.fractional import (
 )
 from stochmatch.graph import StochasticGraph, mask_from_indices
 from stochmatch.matching import CanonicalMatcher, matching_from_indices
-from stochmatch.realization import Realization, RngSeed, sample_realization
+from stochmatch.realization import RngSeed, sample_realization
 from stochmatch.sparsifier import (
     Sparsifier,
     SparsifierParams,
@@ -69,6 +69,16 @@ def test_vertex_aggregates_and_restriction():
     assert stats.vertex_phi_array(within=0b10).tolist() == [0.5, 0.0, 0.5]
 
 
+def test_within_ignores_bits_past_the_last_edge():
+    # One rule for every restricted sum, so a complement works as is.
+    g = StochasticGraph(3, [(0, 1, 2.0), (0, 2, 4.0)], weighted=True)
+    stats = EdgeStats(g, np.array([0.25, 0.125]), "exact")
+    for within in (~0b01, 0b110):
+        assert stats.phi(within=within) == stats.phi(within=0b10) == 0.5
+        assert stats.vertex_q_array(within=within).tolist() == [0.125, 0.0, 0.125]
+        assert stats.vertex_phi_array(within=within).tolist() == [0.5, 0.0, 0.5]
+
+
 def test_mc_stats_track_exact():
     g = StochasticGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], p_v=0.6, p_e=0.8)
     exact = compute_edge_stats(g, mode="exact")
@@ -89,8 +99,7 @@ def test_non_crucial_hand_case_exact_values():
     params = manual_params(0.2, 4, 0.3)
     s = Sparsifier(g, params, np.array([4], dtype=np.int64))
     stats = EdgeStats(g, np.array([0.25]), "exact")
-    realized = Realization(0b11, 0b1)
-    fm = non_crucial_procedure(s, stats, 0b1, realized)
+    fm = non_crucial_procedure(s, stats, 0b1, 0b1)
     x_tilde = min(1.0, 2 * 0.3) / 0.25  # 2.4
     factor = max(0.25, 0.2) / (0.5 * x_tilde)
     assert fm.x[0] == pytest.approx(x_tilde * factor)
@@ -105,13 +114,12 @@ def test_non_crucial_only_touches_realized_q_n_edges():
     # crucial = {1} (q >= 0.4): non-crucial = {0, 2}; edge 2 not in Q.
     crucial, non_crucial = classify_edges(s, stats.q)
     assert crucial == 0b010 and non_crucial == 0b101
-    realized = Realization(0b1111, 0b111)
-    fm = non_crucial_procedure(s, stats, non_crucial, realized)
+    fm = non_crucial_procedure(s, stats, non_crucial, 0b111)
     assert fm.x[1] == 0.0  # crucial: untouched here
     assert fm.x[2] == 0.0  # outside Q
     assert fm.x[0] > 0.0
     # unrealized edges get nothing
-    fm2 = non_crucial_procedure(s, stats, non_crucial, Realization(0b1111, 0b110))
+    fm2 = non_crucial_procedure(s, stats, non_crucial, 0b110)
     assert fm2.x[0] == 0.0
 
 
@@ -129,7 +137,7 @@ def test_non_crucial_respects_vertex_caps_on_random_instances():
         stats = compute_edge_stats(g, mode="exact")
         crucial, non_crucial = classify_edges(s, stats.q)
         realized = sample_realization(g, seed.with_stream(1000 + trial))
-        fm = non_crucial_procedure(s, stats, non_crucial, realized)
+        fm = non_crucial_procedure(s, stats, non_crucial, realized.edge_mask)
         # support inside realized sparsifier non-crucial edges
         assert not (fm.support_mask() & ~(realized.edge_mask & s.edge_mask & non_crucial))
         # per-edge value never above the unscaled step-1 cap
@@ -166,7 +174,7 @@ def test_non_crucial_mass_keeps_most_of_phi():
         total = 0.0
         for t in range(runs):
             realized = sample_realization(g, RngSeed(900 + t))
-            fm = non_crucial_procedure(s, stats, non_crucial, realized)
+            fm = non_crucial_procedure(s, stats, non_crucial, realized.edge_mask)
             total += math.fsum(g.edges[i].weight * fm.x[i] for i in range(g.m))
         assert total / runs >= (1.0 - 10.0 * eps) * phi_n
 
@@ -185,11 +193,11 @@ def test_crucial_matching_is_coupled_intersection():
         stats = compute_edge_stats(g, mode="exact")
         crucial, _ = classify_edges(s, stats.q)
         realized = sample_realization(g, seed.with_stream(500 + trial))
-        m_c = sample_crucial_matching(s, g, crucial, realized=realized)
+        m_c = sample_crucial_matching(s, crucial, realized.edge_mask)
         base = set(CanonicalMatcher(g).for_mask(realized.edge_mask).indices)
         keep = crucial & s.edge_mask & realized.edge_mask
         assert set(m_c.indices) == {i for i in base if keep >> i & 1}
-        assert m_c.is_valid
+        assert m_c.is_valid()
 
 
 def test_crucial_matching_marginal_is_q():
@@ -200,7 +208,7 @@ def test_crucial_matching_marginal_is_q():
     gen = RngSeed(64).generator(purpose=3, index=0)
     trials = 50000
     hits = sum(
-        bool(sample_crucial_matching(s, g, 0b1, sample_realization(g, gen)).indices)
+        bool(sample_crucial_matching(s, 0b1, sample_realization(g, gen).edge_mask).indices)
         for _ in range(trials)
     )
     q = 0.125
@@ -211,11 +219,10 @@ def test_crucial_matching_marginal_is_q():
 def test_crucial_matching_excludes_non_q_and_non_crucial_edges():
     g = StochasticGraph(4, [(0, 1), (1, 2), (2, 3)])
     s = Sparsifier(g, manual_params(0.2, 4, 0.1), np.array([4, 0, 4], dtype=np.int64))
-    realized = Realization(0b1111, 0b111)
-    m_c = sample_crucial_matching(s, g, 0b101, realized=realized)
+    m_c = sample_crucial_matching(s, 0b101, 0b111)
     # canonical matching of the full path is {0, 2}; both crucial and in Q
     assert m_c.indices == (0, 2)
-    m_c2 = sample_crucial_matching(s, g, 0b001, realized=realized)
+    m_c2 = sample_crucial_matching(s, 0b001, 0b111)
     assert m_c2.indices == (0,)
 
 
@@ -274,8 +281,8 @@ def test_unweighted_stage_keeps_loads_bounded_on_random_instances():
         stats = compute_edge_stats(g, mode="exact")
         crucial, non_crucial = classify_edges(s, stats.q)
         realized = sample_realization(g, seed.with_stream(2000 + trial))
-        fm = non_crucial_procedure(s, stats, non_crucial, realized)
-        m_c = sample_crucial_matching(s, g, crucial, realized=realized)
+        fm = non_crucial_procedure(s, stats, non_crucial, realized.edge_mask)
+        m_c = sample_crucial_matching(s, crucial, realized.edge_mask)
         out = crucial_procedure_unweighted(fm, m_c, stats, non_crucial, eps)
         assert out.loads().max() <= 1.0 + 1e-9
         for i in m_c.indices:  # crucial values never rescaled
@@ -451,6 +458,17 @@ def test_weighted_procedure_heavy_gets_one_minus_eps():
     assert out.x[0] == pytest.approx(0.8)
 
 
+def test_weighted_procedure_heavy_edge_can_take_less_than_one_minus_eps():
+    # Heavy: w = 0.6 >= 1.09 * (phi_0 + phi_1) = 1.09 * 0.5.  Past
+    # alpha = 1 - q_0 = 0.9, vertex 0 loses phi_0 / q_0 = 5 per unit of
+    # alpha, more than w gains, so alpha* = 0.9 and not 1.
+    g, stats, m_c = one_crucial_setup(0.6, 0.1, 5.0, 0.0, 1.0)
+    assert classify_crucial_weighted(m_c, stats, 0b110).category[0] == "heavy"
+    assert _best_alpha(0.1, 0.0, 0.5, 0.0, 0.6) == 0.9
+    out = crucial_procedure_weighted(FractionalMatching(g, np.zeros(3)), m_c, stats, 0b110, 0.2)
+    assert out.x[0] == pytest.approx(0.72)
+
+
 def test_weighted_procedure_zeroes_neighbors_at_eps_zero():
     g = StochasticGraph(3, [(0, 1, 10.0), (0, 2, 1.0)], weighted=True)
     stats = EdgeStats(g, np.array([0.5, 0.3]), "exact")
@@ -473,8 +491,8 @@ def test_weighted_stage_keeps_loads_bounded_on_random_instances():
         stats = compute_edge_stats(g, mode="exact")
         crucial, non_crucial = classify_edges(s, stats.q)
         realized = sample_realization(g, seed.with_stream(4000 + trial))
-        fm = non_crucial_procedure(s, stats, non_crucial, realized)
-        m_c = sample_crucial_matching(s, g, crucial, realized=realized)
+        fm = non_crucial_procedure(s, stats, non_crucial, realized.edge_mask)
+        m_c = sample_crucial_matching(s, crucial, realized.edge_mask)
         out = crucial_procedure_weighted(fm, m_c, stats, non_crucial, eps)
         assert out.loads().max() <= 1.0 + 1e-9
         for i in m_c.indices:
@@ -550,8 +568,8 @@ def test_pipeline_vertex_cap_check_uses_non_crucial_q(monkeypatch):
     real = experiment.non_crucial_procedure
     injected = {}
 
-    def inflated(s, stats, non_crucial_mask, realized):
-        fm = real(s, stats, non_crucial_mask, realized)
+    def inflated(s, stats, non_crucial_mask, realized_edges):
+        fm = real(s, stats, non_crucial_mask, realized_edges)
         tight = np.maximum(stats.vertex_q_array(within=non_crucial_mask), eps) / g.p_v
         loose = np.maximum(stats.vertex_q_array(), eps) / g.p_v
         fm.x[1] += (tight[1] + loose[1]) / 2 - fm.loads()[1]  # edge 1 is (1, 2)
@@ -627,8 +645,8 @@ def test_round_to_integral_meets_value_bound_on_random_instances():
         stats = compute_edge_stats(g, mode="exact")
         crucial, non_crucial = classify_edges(s, stats.q)
         realized = sample_realization(g, seed.with_stream(5000 + trial))
-        fm = non_crucial_procedure(s, stats, non_crucial, realized)
-        m_c = sample_crucial_matching(s, g, crucial, realized=realized)
+        fm = non_crucial_procedure(s, stats, non_crucial, realized.edge_mask)
+        m_c = sample_crucial_matching(s, crucial, realized.edge_mask)
         out = crucial_procedure_weighted(fm, m_c, stats, non_crucial, eps)
         view = realized.edge_mask & s.edge_mask
         got = round_to_integral(out, view, eps)

@@ -125,6 +125,12 @@ def test_mask_helpers_round_trip():
     assert indices_from_mask(0) == ()
 
 
+def test_iter_bits_refuses_a_negative_mask():
+    # A negative int has infinitely many set bits.
+    with pytest.raises(ValueError, match="non-negative"):
+        next(iter_bits(-1))
+
+
 def test_empty_graph():
     g = StochasticGraph(0, [])
     assert g.n == 0 and g.m == 0 and g.all_edges_mask == 0

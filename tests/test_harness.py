@@ -373,6 +373,18 @@ def test_cli_estimate_with_restriction(tmp_path):
     assert main(["check", est]) == 0
 
 
+@pytest.mark.parametrize(
+    "content",
+    [{"edges": 5}, {"edges": [5]}, ["edges"], {"edges": [[0, 1, 2]]}, {"edges": [["0", 1]]}],
+)
+def test_cli_estimate_refuses_a_malformed_restrict_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content), encoding="utf-8")
+    argv = ["estimate", "--generator", "path(n=3)", "--mode", "exact", "--restrict", str(bad)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}")
+
+
 def test_cli_check_accepts_artifacts_written_over_the_default_budget(tmp_path, capsys):
     # path(n=12) has n + m = 23 > ENUMERATION_BUDGET_BITS; at p_v = 1 it
     # has only 2**11 outcomes, so both artifacts are cheap to re-derive.

@@ -14,7 +14,6 @@ from stochmatch.matching import (
     CanonicalMatcher,
     Matching,
     matching_from_indices,
-    max_matching_value,
     max_weight_matching,
 )
 
@@ -106,7 +105,7 @@ def test_matcher_mask_restriction_equals_subgraph_matching():
         mask = rng.getrandbits(len(edges)) if edges else 0
         kept = [edges[i] for i in range(len(edges)) if mask >> i & 1]
         _, expect = brute_force_max_weight(n, kept)
-        assert matcher.value_for_mask(mask) == expect
+        assert matcher.for_mask(mask).total_weight == expect
 
 
 def test_matcher_caches_by_mask():
@@ -126,7 +125,7 @@ def test_matching_value_monotone_in_edge_set():
         matcher = CanonicalMatcher(g)
         full = rng.getrandbits(len(edges)) if edges else 0
         sub = full & (rng.getrandbits(len(edges)) if edges else 0)
-        assert matcher.value_for_mask(sub) <= matcher.value_for_mask(full)
+        assert matcher.for_mask(sub).total_weight <= matcher.for_mask(full).total_weight
 
 
 def test_matching_from_indices_validates_disjointness():
@@ -141,11 +140,6 @@ def test_total_weight_is_fsum_of_members():
     edges = [(0, 1, 0.1), (2, 3, 0.2), (4, 5, 0.3)]
     got = max_weight_matching(edges)
     assert got.total_weight == math.fsum([0.1, 0.2, 0.3])
-
-
-def test_max_matching_value_shortcut():
-    assert max_matching_value([(0, 1, 2.0), (1, 2, 3.0)]) == 3.0
-    assert max_matching_value([]) == 0.0
 
 
 # ------------------------------------------- mask solver vs memoized search

@@ -120,7 +120,7 @@ def test_capture_probability_over_repeated_builds():
     params = SparsifierParams(0.2, rounds, 0.01, rounds, r_cap=rounds)
     reps = 2000
     hits = sum(
-        build_sparsifier(g, params, RngSeed(100, stream=k)).contains(0)
+        build_sparsifier(g, params, RngSeed(100, stream=k)).edge_mask & 1
         for k in range(reps)
     )
     capture = 1.0 - 0.75**rounds
@@ -133,7 +133,7 @@ def test_counts_validation_and_f():
     params = SparsifierParams(0.2, 4, 0.01, 4, r_cap=4)
     s = Sparsifier(g, params, np.array([3], dtype=np.int64))
     assert s.f.tolist() == [0.75]
-    assert s.contains(0) and s.edge_mask == 1
+    assert s.edge_mask == 1
     with pytest.raises(ValueError):
         Sparsifier(g, params, np.array([5], dtype=np.int64))
     with pytest.raises(ValueError):
