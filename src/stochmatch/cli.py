@@ -33,10 +33,11 @@ from collections import Counter
 from dataclasses import asdict
 
 from .edcs import EdcsSubgraph, build_edcs, compute_beta, verify_edcs
+from .errors import BudgetExceededError
 from .estimator import ExhaustiveOracle, approximation_ratio, expected_matching
 from .experiment import DEFAULT_R_CAP, ExperimentConfig, _is_number, run_experiment
 from .generators import generate_graph, parse_generator, parse_weights
-from .graph import StochasticGraph
+from .graph import StochasticGraph, mask_from_indices
 from .io import dump_json, graph_from_json, graph_to_json, load_json, parse_graph_file
 from .matching import _per_call_scope
 from .realization import ENUMERATION_BUDGET_BITS, RngSeed
@@ -75,20 +76,20 @@ def _load_graph(args: argparse.Namespace) -> StochasticGraph:
 
 
 def _edge_pairs(g: StochasticGraph, edge_mask: int) -> list[list[int]]:
-    return [[g.edges[i].u, g.edges[i].v] for i in range(g.m) if edge_mask >> i & 1]
+    return g.endpoint_array[g.edge_flags(edge_mask)].tolist()
 
 
 def _mask_from_pairs(g: StochasticGraph, pairs) -> int:
     """Edge mask of a JSON list of [u, v] vertex pairs."""
     if not isinstance(pairs, list):
         raise ValueError(f"edges must be a list of [u, v] pairs, got {reprlib.repr(pairs)}")
-    mask = 0
+    indices = []
     for pair in pairs:
         u, v = pair if type(pair) is list and len(pair) == 2 else (None, None)
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"edge {reprlib.repr(pair)} is not a [u, v] pair of vertex ids")
-        mask |= 1 << g.edge_index(u, v)
-    return mask
+        indices.append(g.edge_index(u, v))
+    return mask_from_indices(indices)
 
 
 def _write(artifact: dict, output: str | None) -> None:
@@ -305,7 +306,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise ValueError(f"cannot check artifact of kind {kind!r}")
     try:
         problems = _recompute(recorded)
-    except (TypeError, OverflowError) as exc:  # a recorded value of the wrong type or size
+    except BudgetExceededError:
+        raise
+    except (ValueError, TypeError, OverflowError, KeyError) as exc:  # a malformed recorded input
         raise ValueError(f"{args.artifact} is malformed: {exc}") from exc
     if problems:
         for p in problems:

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import StochasticGraph, indices_from_mask, mask_from_indices
+from .graph import StochasticGraph, mask_from_indices
 from .matching import _scoped_matcher
 
 __all__ = [
@@ -104,7 +104,8 @@ class EdcsSubgraph:
     Attributes:
         graph: the parent graph.
         params: the degree bounds used.
-        edge_mask: bitmask of subgraph edges.
+        edge_mask: bitmask of subgraph edges; a mask that is negative or
+            has a bit at m or above is refused with ValueError.
         fixups: number of fix-up steps the builder performed.
     """
 
@@ -113,9 +114,9 @@ class EdcsSubgraph:
     edge_mask: int
     fixups: int = 0
 
-    @cached_property
-    def edge_indices(self) -> tuple[int, ...]:
-        return indices_from_mask(self.edge_mask)
+    def __post_init__(self) -> None:
+        if not 0 <= self.edge_mask <= self.graph.all_edges_mask:
+            raise ValueError(f"edge mask {self.edge_mask} has bits outside the {self.graph.m} edges")
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -189,7 +190,7 @@ def build_edcs(
                     heapq.heappush(under, j)
             elif s == beta + 1 and in_h[j]:
                 heapq.heappush(over, j)
-    return EdcsSubgraph(g, params, mask_from_indices(i for i in range(g.m) if in_h[i]), fixups)
+    return EdcsSubgraph(g, params, mask_from_indices(np.flatnonzero(in_h)), fixups)
 
 
 def verify_edcs(g: StochasticGraph, h: EdcsSubgraph) -> list[tuple[str, int, int]]:
@@ -204,8 +205,7 @@ def verify_edcs(g: StochasticGraph, h: EdcsSubgraph) -> list[tuple[str, int, int
         raise ValueError("subgraph belongs to a different graph")
     deg, ends = h.degrees, g.endpoint_array
     sums = deg[ends[:, 0]] + deg[ends[:, 1]]
-    in_h = np.zeros(g.m, dtype=bool)
-    in_h[list(h.edge_indices)] = True
+    in_h = g.edge_flags(h.edge_mask)
     bad = np.flatnonzero(np.where(in_h, sums > h.params.beta, sums < h.params.beta_minus))
     return [
         ("upper" if in_h[i] else "lower", i, s)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .estimator import _edge_means, _outcomes, _resolve_mode
-from .graph import StochasticGraph, indices_from_mask, iter_bits, mask_from_indices
+from .graph import StochasticGraph, mask_from_indices
 from .matching import Matching, _scoped_matcher, matching_from_indices
 from .realization import ENUMERATION_BUDGET_BITS, RngSeed
 from .sparsifier import Sparsifier
@@ -87,9 +87,8 @@ class EdgeStats:
     def phi(self, within: int | None = None) -> float:
         """Sum of w_e * q_e over an edge set (all edges when None); bits
         of ``within`` past the last edge are ignored."""
-        g = self.graph
-        idx = range(g.m) if within is None else iter_bits(within & g.all_edges_mask)
-        return math.fsum(g.weight_array[i] * self.q[i] for i in idx)
+        wq = self.graph.weight_array * self.q
+        return math.fsum(wq if within is None else wq[self.graph.edge_flags(within)])
 
     def vertex_q_array(self, within: int | None = None) -> np.ndarray:
         return self.graph.vertex_sums(self.q, within)
@@ -147,7 +146,7 @@ class FractionalMatching:
         return math.fsum(w[i] * self.x[i] for i in np.flatnonzero(self.x))
 
     def support_mask(self) -> int:
-        return mask_from_indices(int(i) for i in np.flatnonzero(self.x))
+        return mask_from_indices(np.flatnonzero(self.x))
 
     def copy(self) -> "FractionalMatching":
         return FractionalMatching(self.graph, self.x.copy())
@@ -172,10 +171,9 @@ def non_crucial_procedure(
     eps = s.params.epsilon
     tau = s.params.tau
     pe2 = g.p_v * g.p_v * g.p_e
-    active = realized_edges & s.edge_mask & non_crucial_mask
-    idx = list(iter_bits(active))
+    active = g.edge_flags(realized_edges & s.edge_mask & non_crucial_mask)
     x_t = np.zeros(g.m)
-    x_t[idx] = np.minimum(s.f[idx], 2.0 * tau) / pe2
+    x_t[active] = np.minimum(s.f[active], 2.0 * tau) / pe2
     denom = g.p_v * g.vertex_sums(x_t)
     factors = np.full(g.n, np.inf)
     constrained = denom > 0.0
@@ -198,8 +196,8 @@ def sample_crucial_matching(s: Sparsifier, crucial_mask: int, realized_edges: in
     """
     g = s.graph
     base = _scoped_matcher(g).for_mask(realized_edges)
-    keep = crucial_mask & s.edge_mask & realized_edges
-    return matching_from_indices(g, (i for i in base.indices if keep >> i & 1))
+    keep = g.edge_flags(crucial_mask & s.edge_mask & realized_edges)
+    return matching_from_indices(g, (i for i in base.indices if keep[i]))
 
 
 def _enforce_vertex_budgets(fm: FractionalMatching, fixed_mask: int) -> None:
@@ -222,7 +220,7 @@ def _enforce_vertex_budgets(fm: FractionalMatching, fixed_mask: int) -> None:
     factors[over] = np.maximum(0.0, 1.0 - fixed[over]) / free[over]
     ends = g.endpoint_array
     edge_factors = factors[ends[:, 0]] * factors[ends[:, 1]]
-    edge_factors[list(iter_bits(fixed_mask))] = 1.0
+    edge_factors[g.edge_flags(fixed_mask)] = 1.0
     fm.x *= edge_factors
 
 
@@ -439,7 +437,7 @@ def round_to_integral(
     """
     support = fm.support_mask()
     if support & ~view_mask:
-        outside = indices_from_mask(support & ~view_mask)
+        outside = tuple(np.flatnonzero(fm.graph.edge_flags(support & ~view_mask)).tolist())
         raise ValueError(f"fractional mass on edges {outside} outside the realized view")
     result = _scoped_matcher(fm.graph).for_mask(support)
     target = (1.0 - epsilon) * fm.total_value()

@@ -10,7 +10,12 @@ overall probability ``p_v**2 * p_e``.
 Edges are normalized to ``u < v`` and stored sorted by endpoint pair, so
 every graph has one canonical edge order.  The rest of the package refers
 to edges by their index in that order, and passes edge subsets around as
-integer bitmasks over those indices.
+integer bitmasks over those indices, bit i for edge i.  Only this module
+knows that layout, and it converts each way once:
+:meth:`StochasticGraph.edge_flags` turns a mask into per-edge bools and
+ignores bits at m or above, so a complement such as ``~crucial_mask``
+works; :func:`mask_from_indices` turns edge indices (of flags, through
+``np.flatnonzero``) into a mask and refuses a negative index.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -27,8 +32,6 @@ __all__ = [
     "Edge",
     "StochasticGraph",
     "mask_from_indices",
-    "indices_from_mask",
-    "iter_bits",
 ]
 
 
@@ -40,32 +43,23 @@ class Edge(NamedTuple):
     weight: float = 1.0
 
 
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-d bool array as an int with bit j = column j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed.tolist()]
+
+
 def mask_from_indices(indices: Iterable[int]) -> int:
-    """Pack an iterable of non-negative indices into a bitmask."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order.
-
-    Raises:
-        ValueError: when ``mask`` is negative; it has infinitely many
-            set bits.
-    """
-    if mask < 0:
-        raise ValueError(f"a bitmask must be non-negative, got {mask}")
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def indices_from_mask(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into a sorted tuple of indices."""
-    return tuple(iter_bits(mask))
+    """Bitmask with bit i set for each i in ``indices``, any iterable of
+    ints or a numpy index array; a negative index raises ValueError."""
+    idx = indices if isinstance(indices, np.ndarray) else np.fromiter(indices, np.int64)
+    if idx.size == 0:
+        return 0
+    if idx.min() < 0:
+        raise ValueError(f"an edge index must be non-negative, got {int(idx.min())}")
+    flags = np.zeros((1, int(idx.max()) + 1), dtype=bool)
+    flags[0, idx] = True
+    return _pack_rows(flags)[0]
 
 
 def _validate_probability(name: str, value: float) -> None:
@@ -167,6 +161,14 @@ class StochasticGraph:
 
     # -- queries ---------------------------------------------------------------
 
+    def edge_flags(self, mask: int) -> np.ndarray:
+        """``(m,)`` bool array, True where ``mask`` has the edge's bit;
+        bits at m or above are ignored."""
+        m = self.m
+        raw = (mask & self.all_edges_mask).to_bytes((m + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=m, bitorder="little")
+        return bits.view(bool)
+
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
@@ -214,10 +216,7 @@ class StochasticGraph:
         """
         ends, vals = self.endpoint_array, np.asarray(per_edge, dtype=np.float64)
         if within is not None:
-            m = self.m
-            raw = (within & self.all_edges_mask).to_bytes((m + 7) // 8, "little")
-            bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=m, bitorder="little")
-            keep = bits.astype(bool)
+            keep = self.edge_flags(within)
             ends, vals = ends[keep], vals[keep]
         sums = np.bincount(ends.ravel(), weights=np.repeat(vals, 2), minlength=self.n)
         return sums.astype(np.float64, copy=False)  # bincount of no edges gives ints

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graph import StochasticGraph
+from .graph import StochasticGraph, _pack_rows
 
 __all__ = [
     "RngSeed",
@@ -98,12 +98,6 @@ class Realization:
 
     vertex_mask: int
     edge_mask: int
-
-
-def _pack_rows(bits: np.ndarray) -> list[int]:
-    """Each row of a 2-d bool array as an int with bit j = column j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row, "little") for row in packed.tolist()]
 
 
 def _sample_masks(

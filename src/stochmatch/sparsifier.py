@@ -123,11 +123,7 @@ class Sparsifier:
     @cached_property
     def edge_mask(self) -> int:
         """Bitmask of Q: edges that appeared in at least one round."""
-        return mask_from_indices(int(i) for i in np.flatnonzero(self.counts))
-
-    @cached_property
-    def edge_indices(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.counts))
+        return mask_from_indices(np.flatnonzero(self.counts))
 
     @cached_property
     def f(self) -> np.ndarray:
@@ -136,7 +132,8 @@ class Sparsifier:
 
     @property
     def size(self) -> int:
-        return len(self.edge_indices)
+        """Number of edges in Q."""
+        return int(np.count_nonzero(self.counts))
 
     def subgraph_max_degree(self) -> int:
         """Maximum degree of the Q subgraph.
@@ -200,5 +197,5 @@ def classify_edges(s: Sparsifier, q_estimates) -> tuple[int, int]:
     q = np.asarray(q_estimates, dtype=np.float64)
     if q.shape != (s.graph.m,):
         raise ValueError(f"expected {s.graph.m} estimates, got shape {q.shape}")
-    crucial = mask_from_indices(int(i) for i in np.flatnonzero(q >= s.params.tau))
+    crucial = mask_from_indices(np.flatnonzero(q >= s.params.tau))
     return crucial, s.graph.all_edges_mask & ~crucial

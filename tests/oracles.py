@@ -438,3 +438,22 @@ def reference_degrees(g, mask):
             deg[e.u] += 1
             deg[e.v] += 1
     return deg
+
+
+# -- Edge-set conversions, one bit at a time ------------------------------------------
+
+
+def reference_edge_flags(m, mask):
+    """Per edge index i < m, whether bit i of ``mask`` is set; a negative
+    mask reads as its two's complement, as Python's ``>>`` gives it."""
+    return [mask >> i & 1 == 1 for i in range(m)]
+
+
+def reference_mask_from_indices(indices):
+    """The mask with bit i set for each i in ``indices``, one shift each."""
+    mask = 0
+    for i in indices:
+        if i < 0:
+            raise ValueError(f"negative index {i}")
+        mask |= 1 << int(i)
+    return mask

@@ -84,7 +84,6 @@ def test_triangle_build_by_hand():
     g = StochasticGraph(3, [(0, 1), (0, 2), (1, 2)])
     h = build_edcs(g, EdcsParams(3, 2, 0.25))
     assert h.edge_mask == 0b011
-    assert h.edge_indices == (0, 1)
     assert h.fixups == 2
     assert h.size == 2
     assert h.max_degree() == 2
@@ -225,6 +224,14 @@ def test_verify_and_degrees_match_loop_reference():
     h = EdcsSubgraph(edgeless, EdcsParams(3, 2, 0.25), 0)
     assert h.degrees.tolist() == [0, 0, 0]
     assert verify_edcs(edgeless, h) == []
+
+
+@pytest.mark.parametrize("mask", [0b101, 0b100, -1, -2])
+def test_subgraph_refuses_a_mask_outside_the_edges(mask):
+    # Two edges: bit 2 and every bit of a negative mask name no edge.
+    g = StochasticGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=rf"edge mask {mask} .* 2 edges"):
+        EdcsSubgraph(g, EdcsParams(3, 2, 0.25), mask)
 
 
 def test_verify_rejects_foreign_graph():

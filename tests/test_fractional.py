@@ -620,8 +620,11 @@ def test_round_to_integral_returns_canonical_support_matching():
 def test_round_to_integral_rejects_support_outside_view():
     g = StochasticGraph(3, [(0, 1), (1, 2)])
     fm = FractionalMatching(g, np.array([0.5, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^fractional mass on edges \(0,\) outside the realized view$"):
         round_to_integral(fm, view_mask=0b10, epsilon=0.2)
+    fm = FractionalMatching(g, np.array([0.5, 0.25]))
+    with pytest.raises(ValueError, match=r"^fractional mass on edges \(0, 1\) outside"):
+        round_to_integral(fm, view_mask=~0b11, epsilon=0.2)
 
 
 def test_round_to_integral_flags_unroundable_fractions():

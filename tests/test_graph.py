@@ -7,14 +7,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_edge_flags, reference_mask_from_indices
 
-from stochmatch.graph import (
-    Edge,
-    StochasticGraph,
-    indices_from_mask,
-    iter_bits,
-    mask_from_indices,
-)
+from stochmatch.graph import Edge, StochasticGraph, mask_from_indices
 
 
 def test_edges_are_normalized_and_sorted():
@@ -119,16 +116,54 @@ def test_triples_round_trip():
 
 
 def test_mask_helpers_round_trip():
+    g = StochasticGraph(7, [(i, i + 1) for i in range(6)])
     assert mask_from_indices([0, 3, 5]) == 0b101001
-    assert indices_from_mask(0b101001) == (0, 3, 5)
-    assert list(iter_bits(0b1010)) == [1, 3]
-    assert indices_from_mask(0) == ()
+    assert np.flatnonzero(g.edge_flags(0b101001)).tolist() == [0, 3, 5]
+    assert g.edge_flags(~0b101001).tolist() == [False, True, True, False, True, False]
+    assert not g.edge_flags(0).any()
 
 
-def test_iter_bits_refuses_a_negative_mask():
-    # A negative int has infinitely many set bits.
+# Edge counts around the byte and word boundaries of the packed layout.
+EDGE_COUNTS = (0, 1, 7, 8, 9, 63, 64, 65, 300)
+_PATHS = {m: StochasticGraph(m + 1, [(i, i + 1) for i in range(m)]) for m in EDGE_COUNTS}
+
+
+@given(st.sampled_from(EDGE_COUNTS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_edge_flags_matches_bit_by_bit_reference(m, data):
+    # Masks reach 8 bits past the last edge, and negative ones read as
+    # complements; either way only the bits of the m edges count.
+    span = 1 << (m + 8)
+    mask = data.draw(st.integers(min_value=-span, max_value=span - 1))
+    flags = _PATHS[m].edge_flags(mask)
+    assert flags.dtype == bool and flags.shape == (m,)
+    assert flags.tolist() == reference_edge_flags(m, mask)
+    assert (~flags).tolist() == reference_edge_flags(m, ~mask)
+
+
+@given(st.sampled_from(EDGE_COUNTS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mask_from_indices_matches_bit_by_bit_reference(m, data):
+    # m = 0 gives the empty list, iterator and index array.
+    indices = data.draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=2 * m)) if m else []
+    want = reference_mask_from_indices(indices)
+    assert mask_from_indices(indices) == want
+    assert mask_from_indices(iter(indices)) == want
+    assert mask_from_indices(indices + indices[::-1]) == want  # duplicates, any order
+    assert mask_from_indices(np.array(indices, dtype=np.int64)) == want
+    assert mask_from_indices(np.flatnonzero(_PATHS[m].edge_flags(want))) == want
+    assert np.flatnonzero(_PATHS[m].edge_flags(want)).tolist() == sorted(set(indices))
+
+
+@given(st.lists(st.integers(-300, 300), min_size=1).filter(lambda xs: min(xs) < 0))
+@settings(max_examples=100, deadline=None)
+def test_mask_from_indices_refuses_a_negative_index(indices):
+    with pytest.raises(ValueError):
+        reference_mask_from_indices(indices)
     with pytest.raises(ValueError, match="non-negative"):
-        next(iter_bits(-1))
+        mask_from_indices(indices)
+    with pytest.raises(ValueError, match="non-negative"):
+        mask_from_indices(np.array(indices))
 
 
 def test_empty_graph():

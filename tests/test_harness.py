@@ -539,6 +539,41 @@ def test_cli_check_refuses_malformed_artifacts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, change",
+    [
+        ("restrict_edges", lambda edges: [[0, 1, 2]]),
+        ("restrict_edges", lambda edges: [[0, 5]]),
+        ("restrict_edges", lambda edges: 5),
+        ("graph.edges", lambda edges: [[0, 1]] + edges[1:]),
+        ("graph.edges", lambda edges: [[0, "x", 1.0]] + edges[1:]),
+        ("graph.n", lambda n: -1),
+    ],
+)
+def test_cli_check_names_the_file_of_a_malformed_edge_list(tmp_path, capsys, key, change):
+    graph = ["--generator", "path(n=6)", "--p-v", "0.8"]
+    sp = str(tmp_path / "sp.json")
+    est = str(tmp_path / "e.json")
+    assert main(["sparsify", *graph, "--epsilon", "0.3", "--r-cap", "20", "--output", sp]) == 0
+    assert main(["estimate", *graph, "--mode", "exact", "--restrict", sp, "--output", est]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_edit(load_json(est), key, change)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad} ")
+
+
+def test_cli_check_names_the_file_of_a_malformed_edcs_edge_list(tmp_path, capsys):
+    art = str(tmp_path / "h.json")
+    assert main(["edcs", "--generator", "complete(n=5)", "--epsilon", "0.3", "--output", art]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_edit(load_json(art), "edges", lambda e: [[0, 1, 2]])),
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad} ")
+
+
+@pytest.mark.parametrize(
     "change, field",
     [
         (dict(samples="10", q_mode="mc"), "samples"),
