@@ -12,21 +12,25 @@ Artifacts are JSON objects tagged with a "kind" field so check can
 dispatch without guessing.  All floats are printed with repr for exact
 round trips.
 
-sparsify, oracle and estimate each build their artifact in one function
-from the graph and the command's inputs; the command prints from that
-dict and writes it.  check calls the same function on the inputs the
-artifact records and reports every key path whose value differs, so a
-key added to an artifact is checked with no further code.  A
-sparsifier's recorded params are compared with compute_params before
-any round runs.  An edcs artifact is verified, not rebuilt: any subgraph
-within its degree bounds is valid, and a rebuild costs several times the
-verification, so check compares the recorded params with compute_beta
-and runs verify_edcs on the recorded edges.
+Each kind of artifact is built in one function from the graph and the
+command's inputs; the command prints from that dict and writes it.
+check calls the same function on the inputs the artifact records and
+reports every key path whose value differs, so a key added to an
+artifact is checked with no further code.  A sparsifier's recorded
+params are compared with compute_params before any round runs.  An edcs
+artifact is verified, not rebuilt: any subgraph within its degree bounds
+is valid, and a rebuild costs several times the verification.  So check
+compares the recorded params with compute_beta, writes the artifact
+again from the recorded edges and fix-up count, and runs verify_edcs on
+those edges.  The fix-up count is only bounded: a build adds every kept
+edge at least once, so it is an int no smaller than the edge count.  An
+edge list that names an edge twice is malformed.
 """
 
 from __future__ import annotations
 
 import argparse
+import marshal
 import reprlib
 import sys
 from collections import Counter
@@ -80,15 +84,18 @@ def _edge_pairs(g: StochasticGraph, edge_mask: int) -> list[list[int]]:
 
 
 def _mask_from_pairs(g: StochasticGraph, pairs) -> int:
-    """Edge mask of a JSON list of [u, v] vertex pairs."""
+    """Edge mask of a JSON list of distinct [u, v] vertex pairs."""
     if not isinstance(pairs, list):
         raise ValueError(f"edges must be a list of [u, v] pairs, got {reprlib.repr(pairs)}")
-    indices = []
+    indices = set()
     for pair in pairs:
         u, v = pair if type(pair) is list and len(pair) == 2 else (None, None)
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"edge {reprlib.repr(pair)} is not a [u, v] pair of vertex ids")
-        indices.append(g.edge_index(u, v))
+        i = g.edge_index(u, v)
+        if i in indices:
+            raise ValueError(f"edge {reprlib.repr(pair)} is listed twice")
+        indices.add(i)
     return mask_from_indices(indices)
 
 
@@ -126,6 +133,11 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _edcs_artifact(h: EdcsSubgraph) -> dict:
+    return {"kind": "edcs", "graph": graph_to_json(h.graph), "params": asdict(h.params),
+            "edges": _edge_pairs(h.graph, h.edge_mask), "fixups": h.fixups}
+
+
 def _cmd_edcs(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     params = compute_beta(args.epsilon, g.p_v, g.p_e, args.c_const)
@@ -135,8 +147,7 @@ def _cmd_edcs(args: argparse.Namespace) -> int:
     print(f"edges kept: {h.size} of {g.m}")
     print(f"max degree: {h.max_degree()}")
     print(f"violations: {len(bad)}")
-    _write({"kind": "edcs", "graph": graph_to_json(g), "params": asdict(params),
-            "edges": _edge_pairs(g, h.edge_mask), "fixups": h.fixups}, args.output)
+    _write(_edcs_artifact(h), args.output)
     return 1 if bad else 0
 
 
@@ -237,6 +248,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 _MISSING = type("_Missing", (), {"__repr__": lambda self: "nothing"})()
 
 
+def _identical(a, b) -> bool:
+    """True when ``a`` and ``b`` hold the same types and the same values
+    throughout: equal marshal bytes (format 2 writes no back-references),
+    which tell True from 1 where ``==`` does not."""
+    try:
+        return marshal.dumps(a, 2) == marshal.dumps(b, 2)
+    except ValueError:  # an object marshal cannot write, such as a numpy scalar
+        return False
+
+
 def _differences(recorded, recomputed, path: str = "") -> list[str]:
     """One "<key path> recorded X, recomputed Y" line per difference.
 
@@ -249,6 +270,8 @@ def _differences(recorded, recomputed, path: str = "") -> list[str]:
                 for line in _differences(recorded.get(key, _MISSING), recomputed.get(key, _MISSING),
                                          f"{path}.{key}" if path else key)]
     if isinstance(recorded, list) and isinstance(recomputed, list) and len(recorded) == len(recomputed):
+        if _identical(recorded, recomputed):  # skips the item walk on a long equal list
+            return []
         return [line for i, (a, b) in enumerate(zip(recorded, recomputed))
                 for line in _differences(a, b, f"{path}[{i}]")]
     numbers = _is_number(recorded) and _is_number(recomputed)
@@ -292,8 +315,13 @@ def _recompute(recorded: dict) -> list[str]:
     if kind == "sparsifier":
         rebuilt = _sparsifier_artifact(g, want.epsilon, want.r_cap, recorded["seed"], recorded["stream"])
         return _differences(recorded, rebuilt)
-    h = EdcsSubgraph(g, want, _mask_from_pairs(g, recorded["edges"]), recorded.get("fixups", 0))
-    return [f"{side} violation at edge {i} (degree sum {s})" for side, i, s in verify_edcs(g, h)]
+    h = EdcsSubgraph(g, want, _mask_from_pairs(g, recorded["edges"]), recorded["fixups"])
+    if type(h.fixups) is not int or h.fixups < h.size:
+        raise ValueError(f"fixups {reprlib.repr(h.fixups)} is not an int of at least the "
+                         f"{h.size} recorded edges")
+    problems = _differences(recorded, _edcs_artifact(h))
+    return problems + [f"{side} violation at edge {i} (degree sum {s})"
+                       for side, i, s in verify_edcs(g, h)]
 
 
 @_per_call_scope()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -333,6 +332,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     points = cfg.sweep()
     tasks = [(data, i) for i in range(len(points))]
     if cfg.workers > 1:
+        # Imported here: the pool pulls in multiprocessing, which a
+        # one-worker run and a bare ``import stochmatch`` do without.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_evaluate_point_star, tasks))
     else:

@@ -17,11 +17,13 @@ two children: skip i, solving S - {i}, or take it, adding w_i to the
 optimum of S minus i and every edge that shares an endpoint with i.
 At equal value i is taken unless the skip solution is empty, which is
 the prefix-first rule above.  Values are summed right to left along the
-chosen edges, as a recursive search over the edge list would sum them.
-The children are smaller masks, so the recurrence runs bottom-up from
-an explicit stack and needs no recursion, however many edges there are.
+chosen edges, as a recursive search over the edge list would sum them;
+the reported ``total_weight`` is the fsum of the member weights.  The
+children are smaller masks, so the recurrence runs bottom-up from an
+explicit stack and needs no recursion, however many edges there are.
 Each call keeps its subproblems for itself; :class:`CanonicalMatcher`
-keeps only the answers to queried masks and reuses them as subproblems.
+keeps only the answers to queried masks, with their solver sums, and
+solves a mask whose two children it holds in one step.
 This is exponential in the worst case and intended for the desk-scale
 instances this package targets (a few dozen edges per realized set,
 far more when the edges are sparse, as on a long path); it is not a
@@ -46,11 +48,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .graph import Edge, StochasticGraph
+from .graph import StochasticGraph
 
 __all__ = [
     "Matching",
@@ -60,38 +60,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A vertex-disjoint edge set.
+class Matching(NamedTuple):
+    """A vertex-disjoint edge set: the answer of one canonical solve.
 
     Attributes:
         indices: sorted edge indices, relative to the edge order of the
             graph (or edge list) the matching was computed on.
-        edges: the corresponding Edge tuples.
         total_weight: sum of member weights (order-independent, computed
             with math.fsum).
     """
 
     indices: tuple[int, ...]
-    edges: tuple[Edge, ...]
     total_weight: float
 
-    @property
-    def size(self) -> int:
-        return len(self.indices)
 
-    @cached_property
-    def vertices(self) -> frozenset[int]:
-        """Vertices covered by the matching."""
-        out: set[int] = set()
-        for e in self.edges:
-            out.add(e.u)
-            out.add(e.v)
-        return frozenset(out)
-
-    def is_valid(self) -> bool:
-        """True when no two member edges share a vertex."""
-        return len(self.vertices) == 2 * len(self.edges)
+# The answer for the empty edge set, with its solver sum.
+_EMPTY = (Matching((), 0.0), 0.0)
 
 
 def _conflict_masks(pairs: Sequence[tuple[int, int]]) -> list[int]:
@@ -105,21 +89,14 @@ def _conflict_masks(pairs: Sequence[tuple[int, int]]) -> list[int]:
     return [at[u] | at[v] for u, v in pairs]
 
 
-def _right_sum(weight: Sequence[float], indices: Sequence[int]) -> float:
-    """The solver's value of a solution: its weights added right to left."""
-    total = 0.0
-    for j in reversed(indices):
-        total = weight[j] + total
-    return total
-
-
 def _optimum(
     mask: int,
     conflict: Sequence[int],
     weight: Sequence[float],
-    known: dict[int, Matching],
-) -> tuple[int, ...]:
-    """Sorted indices of the canonical optimum over the edges in ``mask``.
+    known: dict[int, tuple[Matching, float]],
+) -> tuple[tuple[int, ...], float]:
+    """Sorted indices of the canonical optimum over the edges in ``mask``
+    (not in ``known``), and the solver's sum of their weights.
 
     Subproblems are edge sets.  With i the lowest edge of a set S,
     best(S) is the better of skipping i, best(S - {i}), and taking it,
@@ -129,10 +106,9 @@ def _optimum(
     subproblems replaces recursion.
 
     Subproblems solved in this call live in ``records`` and are dropped
-    on return.  One found in ``known`` (solved masks with their
-    Matching) is not expanded: its value is its weights re-added right
-    to left.  The final walk down the chosen branches stops at the first
-    known mask and appends its indices.
+    on return.  One found in ``known`` (solved masks with their Matching
+    and solver sum) is not expanded.  The final walk down the chosen
+    branches stops at the first known mask and appends its indices.
     """
     # mask -> (value, took the lowest edge, solution non-empty)
     records: dict[int, tuple[float, bool, bool]] = {0: (0.0, False, False)}
@@ -142,7 +118,7 @@ def _optimum(
         hit = known.get(sub)
         if hit is None:
             return None
-        return _right_sum(weight, hit.indices), False, bool(hit.indices)
+        return hit[1], False, bool(hit[0].indices)
 
     stack = [mask] if mask else []
     while stack:
@@ -171,7 +147,7 @@ def _optimum(
     while sub:
         hit = known.get(sub)
         if hit is not None:
-            indices.extend(hit.indices)
+            indices.extend(hit[0].indices)
             break
         _, took, nonempty = records[sub]
         if not nonempty:
@@ -183,7 +159,7 @@ def _optimum(
             sub &= ~conflict[i]
         else:
             sub ^= low
-    return tuple(indices)
+    return tuple(indices), records[mask][0]
 
 
 def max_weight_matching(g: StochasticGraph | Iterable[tuple[int, int, float]]) -> Matching:
@@ -200,11 +176,10 @@ def max_weight_matching(g: StochasticGraph | Iterable[tuple[int, int, float]]) -
     if isinstance(g, StochasticGraph):
         return CanonicalMatcher(g).for_mask(None)
     triples = [(int(u), int(v), float(w)) for u, v, w in g]
-    edges = tuple(Edge(u, v, w) if u < v else Edge(v, u, w) for u, v, w in triples)
+    weight = [w for _, _, w in triples]
     conflict = _conflict_masks([(u, v) for u, v, _ in triples])
-    positions = _optimum((1 << len(triples)) - 1, conflict, [w for _, _, w in triples], {})
-    chosen = tuple(edges[i] for i in positions)
-    return Matching(positions, chosen, math.fsum(e.weight for e in chosen))
+    positions, _ = _optimum((1 << len(triples)) - 1, conflict, weight, {})
+    return Matching(positions, math.fsum(weight[i] for i in positions))
 
 
 def matching_from_indices(g: StochasticGraph, indices: Iterable[int]) -> Matching:
@@ -213,25 +188,30 @@ def matching_from_indices(g: StochasticGraph, indices: Iterable[int]) -> Matchin
     for i in idx:
         if not (0 <= i < g.m):
             raise ValueError(f"edge index {i} outside 0..{g.m - 1}")
-    edges = tuple(g.edges[i] for i in idx)
-    matching = Matching(idx, edges, math.fsum(e.weight for e in edges))
-    if not matching.is_valid():
-        raise ValueError(f"edge indices {idx} do not form a matching")
-    return matching
+    covered = 0
+    for i in idx:
+        ends = g.edge_vertex_masks[i]
+        if covered & ends:
+            raise ValueError(f"edge indices {idx} do not form a matching")
+        covered |= ends
+    return Matching(idx, math.fsum(g.edges[i].weight for i in idx))
 
 
 class CanonicalMatcher:
     """Canonical matchings of edge-subset subgraphs of one graph, cached.
 
     The maximum matching of a realization depends only on which edges
-    survived, so results are kept per queried edge bitmask: one Matching
-    per distinct mask passed to :meth:`for_mask` and nothing else, so
-    ``cache_size()`` counts distinct queries and memory grows with them,
-    not with the subproblems solved.  A query keeps its subproblems for
-    that call only and stops at any submask already in the cache, whose
-    solver record (value, non-empty) is re-derived from the Matching.
-    A caller that queries masks in ascending order therefore finds both
-    children of every new mask cached.
+    survived, so results are kept per queried edge bitmask: for each
+    distinct mask passed to :meth:`for_mask`, and nothing else, its
+    Matching and the solver's right-to-left sum.  ``cache_size()``
+    therefore counts distinct queries, memory grows with them and not
+    with the subproblems solved, and a repeated query returns the cached
+    Matching itself.  A new mask whose two children (the mask without
+    its lowest edge i, and the mask without i and its neighbours) are
+    both cached is solved in one step from their records; a mask that
+    skips i shares its skip child's record.  Any other mask runs the
+    stack solver, which stops at every cached submask.  A caller that
+    queries masks in ascending order therefore solves each in one step.
 
     The package's stages take their matcher from :func:`_scoped_matcher`,
     which shares one per graph object for as long as a
@@ -244,7 +224,7 @@ class CanonicalMatcher:
 
     def __init__(self, g: StochasticGraph):
         self.graph = g
-        self._cache: dict[int, Matching] = {}
+        self._cache: dict[int, tuple[Matching, float]] = {}
         self._conflict = _conflict_masks([(e.u, e.v) for e in g.edges])
         self._weight = [e.weight for e in g.edges]
         self._all_edges = g.all_edges_mask
@@ -254,14 +234,33 @@ class CanonicalMatcher:
         the edges of ``edge_mask`` (all edges when None).  Indices in the
         result are the graph's canonical edge indices."""
         mask = self._all_edges if edge_mask is None else edge_mask & self._all_edges
-        hit = self._cache.get(mask)
-        if hit is not None:
-            return hit
-        indices = _optimum(mask, self._conflict, self._weight, self._cache)
-        chosen = tuple(self.graph.edges[i] for i in indices)
-        result = Matching(indices, chosen, math.fsum(e.weight for e in chosen))
-        self._cache[mask] = result
-        return result
+        cache = self._cache
+        entry = cache.get(mask)
+        if entry is not None:
+            return entry[0]
+        if not mask:
+            entry = _EMPTY
+        else:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            skip_mask = mask ^ low
+            take_mask = mask & ~self._conflict[i]
+            skip = cache.get(skip_mask) if skip_mask else _EMPTY
+            take = cache.get(take_mask) if take_mask else _EMPTY
+            if skip is not None and take is not None:
+                value = self._weight[i] + take[1]
+                if value > skip[1] or (value == skip[1] and skip[0].indices):
+                    entry = self._record((i, *take[0].indices), value)
+                else:
+                    entry = skip
+            else:
+                entry = self._record(*_optimum(mask, self._conflict, self._weight, cache))
+        cache[mask] = entry
+        return entry[0]
+
+    def _record(self, indices: tuple[int, ...], value: float) -> tuple[Matching, float]:
+        weight = self._weight
+        return Matching(indices, math.fsum([weight[j] for j in indices])), value
 
     def cache_size(self) -> int:
         return len(self._cache)

@@ -54,6 +54,16 @@ def brute_force_max_weight(n, edges):
     return best_idx, best_w
 
 
+def matched_vertices(edges, indices):
+    """Vertices covered by the edges at ``indices`` of (u, v, ...) tuples."""
+    return frozenset(x for i in indices for x in edges[i][:2])
+
+
+def is_matching(edges, indices):
+    """True when no two of the edges at ``indices`` share a vertex."""
+    return len(matched_vertices(edges, indices)) == 2 * len(set(indices))
+
+
 def enumerate_outcomes(n, edges, p_v, p_e):
     """Yield (vertex_set, edge_index_set, probability) over all outcomes."""
     m = len(edges)

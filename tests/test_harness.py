@@ -5,9 +5,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stochmatch
 from stochmatch.cli import main
 from stochmatch.errors import GraphFormatError
 from stochmatch.experiment import (
@@ -295,6 +300,15 @@ def test_worker_count_does_not_change_output(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_import_does_not_load_multiprocessing():
+    # run_experiment imports its process pool only when it runs workers.
+    code = "import sys, stochmatch; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    src = str(Path(stochmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_edcs_sweep_rows(tmp_path):
     cfg = sweep_config(tmp_path, algorithm="edcs", p_v=[1.0])
     rows = run_experiment(cfg)
@@ -375,7 +389,10 @@ def test_cli_estimate_with_restriction(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [{"edges": 5}, {"edges": [5]}, ["edges"], {"edges": [[0, 1, 2]]}, {"edges": [["0", 1]]}],
+    [
+        {"edges": 5}, {"edges": [5]}, ["edges"], {"edges": [[0, 1, 2]]}, {"edges": [["0", 1]]},
+        {"edges": [[0, 1], [1, 0]]},
+    ],
 )
 def test_cli_estimate_refuses_a_malformed_restrict_file(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
@@ -544,6 +561,7 @@ def test_cli_check_refuses_malformed_artifacts(tmp_path, capsys):
         ("restrict_edges", lambda edges: [[0, 1, 2]]),
         ("restrict_edges", lambda edges: [[0, 5]]),
         ("restrict_edges", lambda edges: 5),
+        ("restrict_edges", lambda edges: edges + edges[:1]),
         ("graph.edges", lambda edges: [[0, 1]] + edges[1:]),
         ("graph.edges", lambda edges: [[0, "x", 1.0]] + edges[1:]),
         ("graph.n", lambda n: -1),
@@ -571,6 +589,39 @@ def test_cli_check_names_the_file_of_a_malformed_edcs_edge_list(tmp_path, capsys
     capsys.readouterr()
     assert main(["check", str(bad)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad} ")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda a: dict(a, fixups=-5),
+        lambda a: dict(a, fixups="abc"),
+        lambda a: dict(a, fixups=float(a["fixups"])),
+        lambda a: dict(a, fixups=True),
+        lambda a: dict(a, fixups=len(a["edges"]) - 1),
+        lambda a: {k: v for k, v in a.items() if k != "fixups"},
+        lambda a: dict(a, extra=1),
+        lambda a: dict(a, edges=a["edges"] + a["edges"][:1]),
+        lambda a: dict(a, edges=a["edges"] + [a["edges"][0][::-1]]),
+        lambda a: dict(a, edges=a["edges"][::-1]),
+    ],
+    ids=["fixups-negative", "fixups-str", "fixups-float", "fixups-bool", "fixups-below-edges",
+         "fixups-missing", "extra-key", "edge-twice", "edge-reversed-twice", "edges-reordered"],
+)
+def test_cli_check_fails_every_edit_of_an_edcs_artifact(tmp_path, capsys, edit):
+    art = str(tmp_path / "h.json")
+    assert main(["edcs", "--generator", "complete(n=6)", "--epsilon", "0.3", "--output", art]) == 0
+    written = load_json(art)
+    assert written["fixups"] >= len(written["edges"])
+    capsys.readouterr()
+    assert main(["check", art]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(written)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert captured.out.startswith("FAIL: ") or captured.err.startswith(f"error: {bad} ")
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stochmatch import matching
 from stochmatch.graph import StochasticGraph
 from stochmatch.matching import (
     CanonicalMatcher,
@@ -17,7 +19,12 @@ from stochmatch.matching import (
     max_weight_matching,
 )
 
-from oracles import brute_force_max_weight, random_test_graph, reference_canonical_matching
+from oracles import (
+    brute_force_max_weight,
+    matched_vertices,
+    random_test_graph,
+    reference_canonical_matching,
+)
 
 
 def small_graph_strategy(weighted: bool):
@@ -131,7 +138,7 @@ def test_matching_value_monotone_in_edge_set():
 def test_matching_from_indices_validates_disjointness():
     g = StochasticGraph(4, [(0, 1), (1, 2), (2, 3)])
     m = matching_from_indices(g, [0, 2])
-    assert m.size == 2 and m.vertices == frozenset({0, 1, 2, 3})
+    assert len(m.indices) == 2 and matched_vertices(g.edges, m.indices) == frozenset({0, 1, 2, 3})
     with pytest.raises(ValueError):
         matching_from_indices(g, [0, 1])
 
@@ -226,11 +233,79 @@ def test_mask_solver_matches_memoized_search_reference():
     assert min(seen.values()) >= 10, seen
 
 
+@st.composite
+def matcher_query_cases(draw):
+    """A graph with m <= 12 whose weights repeat and include zeros and
+    values whose sums round, a mask, and chains of random submasks."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))) if pairs else []
+    weight = st.sampled_from([0.0, 1.0, 2.0, 0.1, 0.2, 0.7, 1 / 3])
+    g = StochasticGraph(n, [(u, v, draw(weight)) for u, v in chosen], weighted=True)
+    mask = draw(st.integers(min_value=0, max_value=g.all_edges_mask))
+    chains = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        sub, chain = mask, []
+        while sub:
+            sub &= draw(st.integers(min_value=0, max_value=mask))
+            chain.append(sub)
+        chains.append(chain)
+    return g, mask, chains
+
+
+@given(matcher_query_cases())
+# Submask 0b1110 is solved in one step, and 0.1 + fsum([0.2, 0.7]) falls
+# one ulp short of fsum([0.1, 0.2, 0.7]).
+@example((StochasticGraph(8, [(0, 1, 1.0), (2, 3, 0.1), (4, 5, 0.2), (6, 7, 0.7)], weighted=True),
+          0b1111, []))
+@settings(max_examples=200, deadline=None)
+def test_matcher_one_step_and_stack_solves_match_reference(case):
+    g, mask, chains = case
+    matcher = CanonicalMatcher(g)
+    conflict = matching._conflict_masks([e[:2] for e in g.edges])
+    answers: dict[int, Matching] = {}
+    stack_solves = []
+
+    def query(q: int) -> None:
+        """for_mask(q), checked; records whether the stack solver ran."""
+        low = q & -q
+        i = low.bit_length() - 1
+        one_step = all(c == 0 or c in answers for c in (q ^ low, q & ~conflict[i])) if q else True
+        with mock.patch.object(matching, "_optimum", wraps=matching._optimum) as solver:
+            got = matcher.for_mask(q)
+        if q in answers:
+            assert got is answers[q]
+        else:
+            assert solver.call_count == (0 if one_step else 1), q
+            stack_solves.append(solver.call_count)
+            assert (got.indices, got.total_weight.hex()) == _reference_for_mask(g, q), (g, q)
+            answers[q] = got
+        assert matcher.cache_size() == len(answers)
+
+    # Sparse chains first: a query whose child was never asked takes the
+    # stack solver, which stops at the cached submasks.
+    query(mask)
+    for chain in chains:
+        for q in chain:
+            query(q)
+    # Then every submask in ascending order: both children of each are
+    # asked before it, so no query after the first runs the stack solver.
+    before = len(stack_solves)
+    sub = 0
+    while True:
+        query(sub)
+        query(sub)
+        if sub == mask:
+            break
+        sub = (sub - mask) & mask
+    assert sum(stack_solves[before:]) == 0
+
+
 def test_long_path_solves_without_recursion_error():
     # A search that recurses once per edge overflows the interpreter stack
     # long before 2000 edges.
     g = StochasticGraph(2001, [(i, i + 1) for i in range(2000)])
     got = CanonicalMatcher(g).for_mask(None)
-    assert got.size == 1000 and got.indices == tuple(range(0, 2000, 2))
+    assert len(got.indices) == 1000 and got.indices == tuple(range(0, 2000, 2))
     assert got.total_weight == 1000.0
     assert max_weight_matching([(i, i + 1, 1.0) for i in range(2000)]).indices == got.indices
